@@ -10,13 +10,22 @@ the reduction was.  This module makes grouping pluggable:
   historical dict-of-lists grouping, unchanged results, O(sessions)
   coordinator memory.  Right for laptop-scale traces.
 * :class:`ExternalGrouping` (``grouping="external"``) -- out-of-core
-  grouping by external merge-sort (:mod:`repro.trace.store`):
-  sessions spill to sorted runs of at most ``run_sessions`` each, the
-  runs k-way merge into one globally sorted shard file keyed by
+  grouping by external merge-sort of raw 56 B records
+  (:class:`repro.trace.store.ExternalSessionSorter`): records spill to
+  sorted runs of at most ``run_sessions`` each, the runs k-way merge
+  into one globally sorted shard file keyed by
   ``(SwarmKey.sort_key, start, session_id)``, and a
   :class:`~repro.trace.store.ShardManifest` maps each swarm to its
   ``(file, offset, length)`` extent.  Coordinator grouping memory is
-  O(``run_sessions``), independent of trace size.
+  O(``run_sessions``), independent of trace size.  A
+  :class:`~repro.trace.store.StoreScan` (what
+  ``StoreReader.iter_sessions()`` returns) is sorted straight from its
+  raw chunks, so grouping a store builds no ``Session`` at all; any
+  other iterable is packed into records as it streams in.  The swarm
+  key is computed once per distinct ``(content_id, isp, bitrate)``
+  (and epoch, for a time-scoped policy), which relies on the policy
+  contract: a non-time-scoped policy's key is a function of those
+  three fields only.
 
 Both strategies produce a :class:`TaskPlan` -- the lazy interface
 backends consume instead of a materialized task list.  A plan knows its
@@ -58,6 +67,7 @@ from repro.trace.store import (
     ExternalSessionSorter,
     SessionColumns,
     ShardManifest,
+    StoreScan,
     StoreWriter,
     evict_reader,
     load_manifest,
@@ -466,69 +476,35 @@ class ExternalGrouping(GroupingStrategy):
             work_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
             owned_dir = work_dir
 
-        def sort_key(session: Session):
-            return (
-                policy.key_for(session).sort_key(),
-                session.start,
-                session.session_id,
-            )
-
         try:
-            sorter = ExternalSessionSorter(
-                sort_key, directory=work_dir, run_sessions=self.run_sessions
-            )
-            latest_end = 0.0
-            for session in sessions:
-                sorter.add(session)
-                if session.end > latest_end:
-                    latest_end = session.end
+            if isinstance(sessions, StoreScan):
+                # The zero-object intake: the store's raw records, sorted
+                # against its own string tables.
+                sorter = ExternalSessionSorter(
+                    policy, work_dir, self.run_sessions, tables=sessions.reader.tables
+                )
+                for chunk in sessions.raw_chunks():
+                    sorter.add_records(chunk)
+            else:
+                sorter = ExternalSessionSorter(policy, work_dir, self.run_sessions)
+                add = sorter.add
+                for session in sessions:
+                    add(session)
+            latest_end = sorter.stats.latest_end
             if latest_end > horizon:
                 raise ValueError(
                     f"horizon {horizon} shorter than last session end {latest_end}"
                 )
 
             shard_path = work_dir / self.SHARD_FILENAME
-            extents: List[Extent] = []
-            current_key = None
-            current_start = 0
-            previous: Optional[Session] = None
-            # A batch swarm key is a pure function of (content_id, isp,
-            # bitrate); recomputing it per session would triple the
-            # key-construction cost of the sort, so only a change in
-            # those raw fields starts a new extent.  A time-scoped
-            # policy (EpochPolicy) breaks that assumption -- the key
-            # also depends on the session's start time -- so it opts
-            # out of the shortcut and the key is rebuilt per session.
-            time_scoped = bool(getattr(policy, "time_scoped", False))
             with StoreWriter(shard_path, horizon=horizon) as writer:
-                for session in sorter.finish():
-                    if previous is None or time_scoped or (
-                        session.content_id != previous.content_id
-                        or session.bitrate != previous.bitrate
-                        or session.isp != previous.isp
-                    ):
-                        key = policy.key_for(session)
-                        if key != current_key:
-                            if current_key is not None:
-                                extents.append(
-                                    Extent(
-                                        key=current_key,
-                                        index=current_start,
-                                        count=writer.records_written - current_start,
-                                    )
-                                )
-                            current_key = key
-                            current_start = writer.records_written
-                    previous = session
-                    writer.append(session)
-                if current_key is not None:
-                    extents.append(
-                        Extent(
-                            key=current_key,
-                            index=current_start,
-                            count=writer.records_written - current_start,
-                        )
-                    )
+                for chunk in sorter.finish():
+                    writer.append(chunk, sorter.tables)
+            extents: List[Extent] = []
+            index = 0
+            for key, count in sorter.groups():
+                extents.append(Extent(key=key, index=index, count=count))
+                index += count
             manifest = ShardManifest(
                 path=str(shard_path), horizon=horizon, extents=tuple(extents)
             )

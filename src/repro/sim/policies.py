@@ -85,7 +85,11 @@ class SwarmPolicy:
         return f"{bitrate / 1e6:.2f}Mbps"
 
     def key_for(self, session: Session) -> SwarmKey:
-        """The swarm a session belongs to under this policy."""
+        """The swarm a session belongs to under this policy.
+
+        A function of ``(content_id, isp, bitrate)`` only: external
+        grouping computes it once per distinct triple, not per session.
+        """
         return SwarmKey(
             content_id=session.content_id,
             isp=session.isp if self.split_by_isp else None,
@@ -121,9 +125,10 @@ class EpochPolicy:
     base: SwarmPolicy
     epoch_seconds: float
 
-    #: Marks keys as time-dependent: grouping strategies must recompute
-    #: the key per session instead of only when the raw content/ISP/
-    #: bitrate fields change (see ``ExternalGrouping.plan``).
+    #: Marks keys as time-dependent: a key is a function of the raw
+    #: content/ISP/bitrate fields *and* ``epoch_of(start)``, so the
+    #: external sorter memoises keys per epoch too (see
+    #: ``repro.trace.store.ExternalSessionSorter``).
     time_scoped = True
 
     def __post_init__(self) -> None:

@@ -16,12 +16,19 @@ on:
   sessions is addressable as ``(offset, length)`` byte ranges and a
   worker process can decode *its own* sessions straight from the file
   instead of receiving them pickled from the coordinator.
-* :class:`ExternalSessionSorter` -- a classic external merge-sort:
-  bounded in-memory runs are sorted and spilled as store files, then
-  k-way merged (``heapq.merge``) into one globally sorted stream.  The
-  sort key is injected by the caller (the simulator sorts by
-  ``(SwarmKey.sort_key, start, session_id)``), so the module stays
-  independent of the simulation layer.
+* :class:`ExternalSessionSorter` -- an external merge-sort of raw
+  records by group: bounded in-memory runs of raw 56 B records are
+  sorted by ``(group, start, session_id)`` and spilled as store files,
+  then k-way merged into one globally sorted record stream.  The
+  grouping policy is injected by the caller (the simulator passes its
+  :class:`~repro.sim.policies.SwarmPolicy`), so the module stays
+  independent of the simulation layer.  It takes records through two
+  intakes: :meth:`~ExternalSessionSorter.add` packs any
+  :class:`~repro.trace.events.Session`, and
+  :meth:`~ExternalSessionSorter.add_records` takes raw chunks of a store
+  file as they are -- read, for instance, from the
+  :class:`StoreScan` :meth:`StoreReader.iter_sessions` returns -- so a
+  store is sorted without building one ``Session``.
 * :class:`Extent` / :class:`ShardManifest` -- the map from each group
   (swarm) to its ``(file, offset, length)`` extent in a sorted store,
   the unit of zero-copy handoff to workers.
@@ -39,14 +46,17 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import heapq
 import json
+import math
 import os
 import struct
 import threading
 from array import array
-from collections import OrderedDict
+from bisect import bisect_right
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat
+from operator import add, is_, itemgetter, length_hint
 from pathlib import Path
 from typing import (
     Callable,
@@ -71,6 +81,7 @@ __all__ = [
     "SessionColumns",
     "StoreWriter",
     "StoreReader",
+    "StoreScan",
     "Extent",
     "ShardManifest",
     "ExternalSessionSorter",
@@ -109,6 +120,33 @@ RECORD_SIZE = _RECORD.size
 
 #: Sequential readers decode this many records per file read.
 _READ_CHUNK_RECORDS = 4096
+
+#: Field accessors on an unpacked record tuple (see ``_RECORD``).
+_SESSION_ID_OF = itemgetter(0)
+_CONTENT_OF = itemgetter(2)
+_START_OF = itemgetter(3)
+_DURATION_OF = itemgetter(4)
+_BITRATE_OF = itemgetter(5)
+_ISP_OF = itemgetter(6)
+_DEVICE_OF = itemgetter(9)
+#: The raw fields a batch group key is a function of: content ref, ISP
+#: ref, bitrate.
+_GROUP_FIELDS_OF = itemgetter(2, 6, 5)
+#: One record as opaque bytes, for moving records without decoding them.
+_RAW_RECORD = struct.Struct(f"<{RECORD_SIZE}s")
+#: One record as its three string refs (content, ISP, device) between
+#: the opaque bytes around them, for rewriting only the refs.
+_REFS = struct.Struct("<16sI24sH8sH")
+_FIRST = itemgetter(0)
+
+#: An external sort entry: a group label (id or rank), the start, the
+#: session id offset to unsigned, then the raw record.  Big-endian, so
+#: for the non-negative starts sessions have, ``bytes`` order is
+#: ``(label, start, session_id, record)`` order.  Starts are packed as
+#: ``start + 0.0``, which turns a ``-0.0`` into the ``0.0`` it equals.
+_ENTRY = struct.Struct(f">IdQ{RECORD_SIZE}s")
+_ENTRY_RAW = struct.Struct(f">{_ENTRY.size - RECORD_SIZE}x{RECORD_SIZE}s")
+_ID_OFFSET = 1 << 63
 
 
 class StoreCorruptionError(ValueError):
@@ -174,6 +212,34 @@ class _StringTable:
             self.values.append(value)
         return index
 
+    def remap(self, refs: Sequence[int], source: Sequence[str]) -> Iterator[int]:
+        """``refs`` into ``source`` as refs into this table.
+
+        Strings are interned in first-encounter order, exactly as
+        :meth:`ref` over ``source[ref]`` one by one would intern them.
+        """
+        mapping = {ref: self.ref(source[ref]) for ref in dict.fromkeys(refs)}
+        return map(mapping.__getitem__, refs)
+
+
+def _write_footer(
+    handle, count: int, horizon: float, tables: Sequence[_StringTable]
+) -> None:
+    """Finish a store file whose ``count`` records are already written."""
+    content, isp, device = tables
+    footer = json.dumps(
+        {
+            "version": _VERSION,
+            "records": count,
+            "horizon": horizon,
+            "content": content.values,
+            "isp": isp.values,
+            "device": device.values,
+        }
+    ).encode("utf-8")
+    handle.write(footer)
+    handle.write(_TAIL.pack(_HEADER.size + count * RECORD_SIZE, _MAGIC))
+
 
 class StoreWriter:
     """Append-only writer of the binary session format.
@@ -213,10 +279,30 @@ class StoreWriter:
         """Sessions appended so far."""
         return self._count
 
-    def append(self, session: Session) -> int:
-        """Write one session; returns its record index in the file."""
+    def append(
+        self,
+        item: Union[Session, bytes],
+        tables: Optional[Sequence[Sequence[str]]] = None,
+    ) -> int:
+        """Write one session, or a chunk of raw records.
+
+        Without ``tables``, ``item`` is one
+        :class:`~repro.trace.events.Session`.  With ``tables``, it is a
+        buffer of whole 56 B records whose string refs index the
+        ``(content, isp, device)`` ``tables``: each ref is re-interned
+        into this file's own first-encounter tables, so the bytes
+        written equal appending the same sessions one by one -- without
+        building them.
+
+        Returns the record index of the (first) record written.
+        """
         if self._closed:
             raise RuntimeError(f"store {self.path} is closed")
+        index = self._count
+        if tables is not None:
+            self._append_raw(item, tables)
+            return index
+        session = item
         self._file.write(
             _RECORD.pack(
                 session.session_id,
@@ -231,9 +317,31 @@ class StoreWriter:
                 self._device.ref(session.device),
             )
         )
-        index = self._count
         self._count += 1
         return index
+
+    def _append_raw(self, buffer: bytes, tables: Sequence[Sequence[str]]) -> None:
+        """Repack ``buffer``'s records with refs into this file's tables."""
+        if not buffer:
+            return
+        heads, content_refs, middles, isp_refs, tails, device_refs = zip(
+            *_REFS.iter_unpack(buffer)
+        )
+        content, isp, device = tables
+        self._file.write(
+            b"".join(
+                map(
+                    _REFS.pack,
+                    heads,
+                    self._content.remap(content_refs, content),
+                    middles,
+                    self._isp.remap(isp_refs, isp),
+                    tails,
+                    self._device.remap(device_refs, device),
+                )
+            )
+        )
+        self._count += len(heads)
 
     def append_fields(
         self,
@@ -289,19 +397,12 @@ class StoreWriter:
         """Write the footer and tail; the file becomes readable."""
         if self._closed:
             return
-        footer = json.dumps(
-            {
-                "version": _VERSION,
-                "records": self._count,
-                "horizon": self.horizon,
-                "content": self._content.values,
-                "isp": self._isp.values,
-                "device": self._device.values,
-            }
-        ).encode("utf-8")
-        footer_offset = _HEADER.size + self._count * RECORD_SIZE
-        self._file.write(footer)
-        self._file.write(_TAIL.pack(footer_offset, _MAGIC))
+        _write_footer(
+            self._file,
+            self._count,
+            self.horizon,
+            (self._content, self._isp, self._device),
+        )
         self._file.close()
         self._closed = True
 
@@ -380,6 +481,11 @@ class StoreReader:
 
     def __len__(self) -> int:
         return self._count
+
+    @property
+    def tables(self) -> Tuple[List[str], List[str], List[str]]:
+        """The ``(content, isp, device)`` string tables records index."""
+        return self._content, self._isp, self._device
 
     def close(self) -> None:
         """Release the underlying file descriptor (idempotent)."""
@@ -513,13 +619,61 @@ class StoreReader:
             device_table=self._device,
         )
 
-    def iter_sessions(self) -> Iterator[Session]:
-        """Yield every session in record order, chunk-buffered."""
-        index = 0
-        while index < self._count:
-            chunk = min(_READ_CHUNK_RECORDS, self._count - index)
-            yield from self.read_range(index, chunk)
-            index += chunk
+    def iter_sessions(self) -> "StoreScan":
+        """Every session in record order, as a chunk-buffered scan."""
+        return StoreScan(self)
+
+
+class StoreScan(Iterator[Session]):
+    """An iterator of a store's sessions that knows where it stands.
+
+    Iterating yields :class:`~repro.trace.events.Session` values in
+    record order, decoded one read chunk at a time.  The scan also
+    exposes its :attr:`reader` and :attr:`position`, and
+    :meth:`raw_chunks` hands the records not yet yielded over as raw
+    56 B chunks instead -- the intake external grouping sorts from
+    without building a ``Session``.
+    """
+
+    def __init__(self, reader: StoreReader) -> None:
+        self.reader = reader
+        self._decoded: Iterator[Session] = iter(())
+        #: Index of the first record not yet decoded.
+        self._next = 0
+
+    @property
+    def position(self) -> int:
+        """Index of the next record the scan would yield."""
+        return self._next - length_hint(self._decoded)
+
+    def __next__(self) -> Session:
+        session = next(self._decoded, None)
+        if session is None:
+            remaining = len(self.reader) - self._next
+            if remaining <= 0:
+                raise StopIteration
+            count = min(_READ_CHUNK_RECORDS, remaining)
+            self._decoded = iter(self.reader.read_range(self._next, count))
+            self._next += count
+            session = next(self._decoded)
+        return session
+
+    def raw_chunks(self) -> Iterator[bytes]:
+        """The records not yet yielded, as validated raw chunks.
+
+        Consumes the scan: each chunk comes from
+        :meth:`StoreReader.read_raw_range`, and the scan ends where the
+        chunks do.
+        """
+        index = self._next = self.position
+        self._decoded = iter(())
+        total = len(self.reader)
+        while index < total:
+            count = min(_READ_CHUNK_RECORDS, total - index)
+            chunk = self.reader.read_raw_range(index, count)
+            index += count
+            self._next = index
+            yield chunk
 
 
 # ----------------------------------------------------------------------
@@ -659,45 +813,91 @@ class SorterStats:
         peak_buffered: most sessions ever resident in the sort buffer
             -- the coordinator's grouping memory footprint, bounded by
             ``run_sessions`` regardless of trace size.
+        latest_end: the latest session end (``start + duration``) among
+            the sorted sessions, 0.0 when there were none.
     """
 
     sessions: int
     runs_spilled: int
     peak_buffered: int
+    latest_end: float = 0.0
 
 
 class ExternalSessionSorter:
-    """Bounded-memory sort of an arbitrarily large session stream.
+    """Bounded-memory sort of an arbitrarily large session stream by group.
 
-    Sessions are buffered up to ``run_sessions``; each full buffer is
-    sorted by ``sort_key`` and spilled as a store file under
-    ``directory``; :meth:`finish` k-way merges the spilled runs with
-    the final in-memory run (``heapq.merge`` -- streaming, at most one
-    read-chunk per run resident) and yields the globally sorted stream.
-    Run files are deleted as soon as the merge completes.
+    The sorter orders sessions by ``(policy.key_for(s).sort_key(),
+    s.start, s.session_id)`` and never holds more than ``run_sessions``
+    of them, yet it builds neither a ``Session`` nor a key object per
+    session:
 
-    ``sort_key`` must be a total order over the added sessions (the
-    simulator's ``(SwarmKey.sort_key, start, session_id)`` key is: ids
-    are unique), so the merged order -- and everything built from it --
-    is deterministic.
+    * Everything it buffers is a **raw record** -- the 56 B store
+      record, its strings as refs into the sorter's own :attr:`tables`
+      -- behind a 20 B big-endian prefix ``(group, start, session_id)``,
+      so that plain ``bytes`` order is sort order.  :meth:`add` packs a
+      ``Session`` into one; :meth:`add_records` takes raw store chunks
+      as they are, their refs indexing the ``tables`` the sorter was
+      seeded with (a store reader's, for the zero-object store intake),
+      and rejects the records a ``Session`` would reject.
+    * The group key is memoised once per distinct raw ``(content ref,
+      ISP ref, bitrate)`` triple -- plus ``policy.epoch_of(start)`` under
+      a ``time_scoped`` policy -- by calling ``policy.key_for`` on a
+      probe session.  That is sound because of the contract policies
+      keep: a policy's key is a function of ``(content_id, isp,
+      bitrate)`` only, or, for a time-scoped policy, of those and the
+      start's epoch.  Distinct keys must also have distinct
+      ``sort_key()`` values (``SwarmKey``'s have).
+    * A full buffer is sorted, its groups laid out in ``sort_key()``
+      order, and spilled under ``directory`` as a valid store file.
+    * :meth:`finish` ranks every group once all are known and k-way
+      merges the spilled runs with the final in-memory run, prefixing
+      each record with its global rank recomputed from its raw fields.
+      It yields the merged records as raw chunks; :meth:`groups` gives
+      each group's key and record count in the same order, so extents
+      need no scan.  Run files are deleted as soon as the merge
+      completes.
+
+    Ties on ``(key, start, session_id)`` -- duplicate ids -- are broken
+    by the record bytes, so the order is total and never depends on
+    input order.
+
+    Args:
+        policy: the grouping policy (``key_for``; ``time_scoped`` and
+            ``epoch_of`` when keys depend on time).
+        directory: where sorted runs are spilled.
+        run_sessions: sort-buffer size, in sessions.
+        tables: ``(content, isp, device)`` strings the refs of records
+            passed to :meth:`add_records` index; :meth:`add` interns
+            new strings after them.
     """
 
     def __init__(
         self,
-        sort_key: Callable[[Session], object],
+        policy,
         directory: Union[str, Path],
         run_sessions: int = 100_000,
+        tables: Optional[Sequence[Sequence[str]]] = None,
     ) -> None:
         if run_sessions < 1:
             raise ValueError(f"run_sessions must be >= 1, got {run_sessions!r}")
-        self.sort_key = sort_key
+        self.policy = policy
         self.directory = Path(directory)
         self.run_sessions = run_sessions
-        self._buffer: List[Session] = []
+        self._tables = tuple(_StringTable(values) for values in tables or ((), (), ()))
+        self._epoch_of = (
+            policy.epoch_of if getattr(policy, "time_scoped", False) else None
+        )
+        self._memo: Dict[tuple, int] = {}  # raw group fields -> group id
+        self._group_of_key: Dict[object, int] = {}  # group key -> group id
+        self._keys: List[object] = []  # group id -> group key
+        self._counts: List[int] = []  # group id -> records
+        self._entries: List[bytes] = []  # the buffer, labelled by group id
+        self._run_counts: Counter = Counter()  # group id -> buffered records
         self._run_paths: List[Path] = []
         self._runs_spilled = 0
         self._sessions = 0
         self._peak_buffered = 0
+        self._latest_end = 0.0
         self._finished = False
 
     @property
@@ -706,18 +906,53 @@ class ExternalSessionSorter:
         return SorterStats(
             sessions=self._sessions,
             runs_spilled=self._runs_spilled,
-            peak_buffered=self._peak_buffered,
+            peak_buffered=max(self._peak_buffered, len(self._entries)),
+            latest_end=self._latest_end,
         )
 
+    @property
+    def tables(self) -> Tuple[List[str], List[str], List[str]]:
+        """The ``(content, isp, device)`` strings buffered refs index."""
+        content, isp, device = self._tables
+        return content.values, isp.values, device.values
+
     def add(self, session: Session) -> None:
-        """Buffer one session, spilling a sorted run when full."""
+        """Buffer one session as a record, spilling a sorted run when full."""
         if self._finished:
             raise RuntimeError("cannot add sessions after finish()")
-        self._buffer.append(session)
+        content, isp, device = self._tables
+        attachment = session.attachment
+        content_ref = content.ref(session.content_id)
+        isp_ref = isp.ref(attachment.isp)
+        memo_key = (content_ref, isp_ref, session.bitrate)
+        if self._epoch_of is not None:
+            memo_key = (memo_key, self._epoch_of(session.start))
+        group = self._memo.get(memo_key)
+        if group is None:
+            group = self._memo[memo_key] = self._group_id(session)
+        end = session.start + session.duration
+        if end > self._latest_end:
+            self._latest_end = end
         self._sessions += 1
-        if len(self._buffer) > self._peak_buffered:
-            self._peak_buffered = len(self._buffer)
-        if len(self._buffer) >= self.run_sessions:
+        raw = _RECORD.pack(
+            session.session_id,
+            session.user_id,
+            content_ref,
+            session.start,
+            session.duration,
+            session.bitrate,
+            isp_ref,
+            attachment.pop,
+            attachment.exchange,
+            device.ref(session.device),
+        )
+        self._entries.append(
+            _ENTRY.pack(
+                group, session.start + 0.0, session.session_id + _ID_OFFSET, raw
+            )
+        )
+        self._run_counts[group] += 1
+        if len(self._entries) >= self.run_sessions:
             self._spill()
 
     def extend(self, sessions: Iterable[Session]) -> None:
@@ -725,38 +960,211 @@ class ExternalSessionSorter:
         for session in sessions:
             self.add(session)
 
+    def add_records(self, buffer: bytes) -> None:
+        """Buffer raw 56 B records, spilling sorted runs as the buffer fills.
+
+        The zero-object intake: the refs in ``buffer`` must index the
+        ``tables`` the sorter was built with.  Records are validated
+        exactly as a :class:`~repro.trace.events.Session` validates its
+        fields (``ValueError``), and refs outside the tables raise
+        :class:`StoreCorruptionError`.
+        """
+        if self._finished:
+            raise RuntimeError("cannot add sessions after finish()")
+        records = list(_RECORD.iter_unpack(buffer))
+        if not records:
+            return
+        self._check(records)
+        groups = self._groups_of(records)
+        self._latest_end = max(
+            chain(
+                (self._latest_end,),
+                map(add, map(_START_OF, records), map(_DURATION_OF, records)),
+            )
+        )
+        entries = _entries(groups, records, buffer)
+        self._sessions += len(records)
+        position = 0
+        while position < len(records):
+            end = position + self.run_sessions - len(self._entries)
+            self._entries += entries[position:end]
+            self._run_counts.update(groups[position:end])
+            position = end
+            if len(self._entries) >= self.run_sessions:
+                self._spill()
+
+    def _check(self, records: List[tuple]) -> None:
+        """Reject the records ``Session.__post_init__`` would reject."""
+        # Seeded minima: a NaN never displaces the seed, just as it
+        # passes the comparisons in ``Session.__post_init__``.
+        lowest = min(chain((0.0,), map(_START_OF, records)))
+        if lowest < 0:
+            raise ValueError(f"start must be >= 0, got {lowest!r}")
+        for name, of in (("duration", _DURATION_OF), ("bitrate", _BITRATE_OF)):
+            lowest = min(chain((math.inf,), map(of, records)))
+            if lowest <= 0:
+                raise ValueError(f"{name} must be > 0, got {lowest!r}")
+        for table, of in zip(self._tables, (_CONTENT_OF, _ISP_OF, _DEVICE_OF)):
+            if max(map(of, records)) >= len(table.values):
+                raise StoreCorruptionError(
+                    f"record string ref outside its table of "
+                    f"{len(table.values)} strings"
+                )
+        empty = self._tables[0]._index.get("")
+        if empty is not None and empty in map(_CONTENT_OF, records):
+            raise ValueError("content_id must be non-empty")
+
+    def _memo_keys(self, records: List[tuple]) -> List[tuple]:
+        """The raw fields each record's group key is a function of."""
+        memo_keys: Iterable = map(_GROUP_FIELDS_OF, records)
+        if self._epoch_of is not None:
+            memo_keys = zip(memo_keys, map(self._epoch_of, map(_START_OF, records)))
+        return list(memo_keys)
+
+    def _groups_of(self, records: List[tuple]) -> List[int]:
+        """Each record's group id, learning new groups from probes."""
+        memo_keys = self._memo_keys(records)
+        memo = self._memo
+        groups = list(map(memo.get, memo_keys))
+        if None in groups:
+            # A new memo key's first record stands for its group.
+            for index in compress(count(), map(is_, groups, repeat(None))):
+                memo_key = memo_keys[index]
+                group = memo.get(memo_key)
+                if group is None:
+                    group = memo[memo_key] = self._group_id(
+                        self._probe(records[index])
+                    )
+                groups[index] = group
+        return groups
+
+    def _probe(self, record: tuple) -> Session:
+        """The session a raw record stands for."""
+        content, isp, device = self._tables
+        (
+            session_id,
+            user_id,
+            content_ref,
+            start,
+            duration,
+            bitrate,
+            isp_ref,
+            pop,
+            exchange,
+            device_ref,
+        ) = record
+        return Session(
+            session_id=session_id,
+            user_id=user_id,
+            content_id=content.values[content_ref],
+            start=start,
+            duration=duration,
+            bitrate=bitrate,
+            attachment=intern_attachment(isp.values[isp_ref], pop, exchange),
+            device=device.values[device_ref],
+        )
+
+    def _group_id(self, session: Session) -> int:
+        """The id of ``session``'s group, registering a new group."""
+        key = self.policy.key_for(session)
+        group = self._group_of_key.get(key)
+        if group is None:
+            group = self._group_of_key[key] = len(self._keys)
+            self._keys.append(key)
+            self._counts.append(0)
+        return group
+
+    def _order(self) -> List[int]:
+        """Group ids of every group seen so far, in ``sort_key()`` order."""
+        sort_keys = [key.sort_key() for key in self._keys]
+        order = sorted(range(len(sort_keys)), key=sort_keys.__getitem__)
+        for before, after in zip(order, order[1:]):
+            if sort_keys[before] == sort_keys[after]:
+                raise ValueError(
+                    f"group keys {self._keys[before]!r} and "
+                    f"{self._keys[after]!r} share sort_key {sort_keys[after]!r}"
+                )
+        return order
+
+    def _take_run(self, order: List[int]) -> List[bytes]:
+        """Empty the buffer into one sorted run, groups in ``order``.
+
+        Entries keep their group-id labels: sorting by label puts each
+        group's records together, already in ``(start, session_id)``
+        order, and the groups are then laid out in ``order``.  The
+        run's records are added to the per-group counts.
+        """
+        entries, counts = self._entries, self._run_counts
+        self._entries, self._run_counts = [], Counter()
+        self._peak_buffered = max(self._peak_buffered, len(entries))
+        entries.sort()
+        offsets = {}
+        index = 0
+        for group in sorted(counts):
+            offsets[group] = index
+            index += counts[group]
+            self._counts[group] += counts[group]
+        return list(
+            chain.from_iterable(
+                entries[offsets[group] : offsets[group] + counts[group]]
+                for group in order
+                if group in counts
+            )
+        )
+
     def _spill(self) -> None:
-        self._buffer.sort(key=self.sort_key)
+        run = self._take_run(self._order())
+        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"run-{len(self._run_paths):06d}.store"
-        with StoreWriter(path) as writer:
-            for session in self._buffer:
-                writer.append(session)
+        with open(path, "wb") as handle:
+            handle.write(_HEADER.pack(_MAGIC, _VERSION))
+            for index in range(0, len(run), _READ_CHUNK_RECORDS):
+                handle.write(_raws_of(run[index : index + _READ_CHUNK_RECORDS]))
+            _write_footer(handle, len(run), 0.0, self._tables)
         self._run_paths.append(path)
         self._runs_spilled += 1
-        self._buffer = []
 
-    def finish(self) -> Iterator[Session]:
-        """Yield every added session in globally sorted order.
+    def _run_chunks(
+        self, reader: StoreReader, ranks: Dict[tuple, int]
+    ) -> Iterator[List[bytes]]:
+        """A spilled run's entries, labelled by rank, one chunk at a time.
 
-        May be consumed once; spilled run files are removed when the
-        iterator is exhausted (or closed).
+        ``ranks`` maps memo keys straight to global ranks.
+        """
+        for index in range(0, len(reader), _READ_CHUNK_RECORDS):
+            count = min(_READ_CHUNK_RECORDS, len(reader) - index)
+            buffer = reader.read_raw_range(index, count)
+            records = list(_RECORD.iter_unpack(buffer))
+            yield _entries(
+                map(ranks.__getitem__, self._memo_keys(records)), records, buffer
+            )
+
+    def finish(self) -> Iterator[bytes]:
+        """Yield every added record, globally sorted, as raw chunks.
+
+        Each chunk is a run of 56 B records whose string refs index
+        :attr:`tables`.  May be consumed once; spilled run files are
+        removed when the iterator is exhausted (or closed).
         """
         if self._finished:
             raise RuntimeError("finish() may only be called once")
         self._finished = True
-        self._buffer.sort(key=self.sort_key)
-        if not self._run_paths:
-            # Everything fit in one buffer: no disk round-trip needed.
-            yield from self._buffer
-            return
-        readers = [StoreReader(path) for path in self._run_paths]
+        order = self._order()
+        ranks = [0] * len(order)
+        for rank, group in enumerate(order):
+            ranks[group] = rank
+        sources = [_relabelled(self._take_run(order), ranks)]
+        readers: List[StoreReader] = []
         try:
-            streams: List[Iterable[Session]] = [
-                reader.iter_sessions() for reader in readers
-            ]
-            if self._buffer:
-                streams.append(iter(self._buffer))
-            yield from heapq.merge(*streams, key=self.sort_key)
+            memo_ranks = {
+                memo_key: ranks[group] for memo_key, group in self._memo.items()
+            }
+            for path in self._run_paths:
+                readers.append(StoreReader(path))
+                sources.append(self._run_chunks(readers[-1], memo_ranks))
+            for batch in _merge(sources):
+                for index in range(0, len(batch), _READ_CHUNK_RECORDS):
+                    yield _raws_of(batch[index : index + _READ_CHUNK_RECORDS])
         finally:
             for reader in readers:
                 reader.close()
@@ -766,6 +1174,81 @@ class ExternalSessionSorter:
                 except OSError:  # pragma: no cover - best-effort cleanup
                     pass
             self._run_paths = []
+
+    def groups(self) -> List[Tuple[object, int]]:
+        """``(key, records)`` of every group, in sorted order.
+
+        Complete once :meth:`finish` has been consumed.
+        """
+        return [(self._keys[group], self._counts[group]) for group in self._order()]
+
+
+def _split(buffer: bytes) -> Iterator[bytes]:
+    """A buffer of whole records, one ``bytes`` per record."""
+    return map(_FIRST, _RAW_RECORD.iter_unpack(buffer))
+
+
+def _entries(labels: Iterable[int], records: List[tuple], buffer: bytes) -> List[bytes]:
+    """Sort entries of ``buffer``'s records (unpacked as ``records``)."""
+    return list(
+        map(
+            _ENTRY.pack,
+            labels,
+            map(add, map(_START_OF, records), repeat(0.0)),
+            map(add, map(_SESSION_ID_OF, records), repeat(_ID_OFFSET)),
+            _split(buffer),
+        )
+    )
+
+
+def _raws_of(entries: List[bytes]) -> bytes:
+    """The raw records of ``entries``, concatenated."""
+    return b"".join(map(_FIRST, _ENTRY_RAW.iter_unpack(b"".join(entries))))
+
+
+def _relabelled(entries: List[bytes], ranks: List[int]) -> Iterator[List[bytes]]:
+    """Group-id-labelled entries relabelled by rank, a chunk at a time."""
+    for index in range(0, len(entries), _READ_CHUNK_RECORDS):
+        chunk = b"".join(entries[index : index + _READ_CHUNK_RECORDS])
+        groups, starts, session_ids, raws = zip(*_ENTRY.iter_unpack(chunk))
+        yield list(
+            map(_ENTRY.pack, map(ranks.__getitem__, groups), starts, session_ids, raws)
+        )
+
+
+def _merge(sources: List[Iterator[List[bytes]]]) -> Iterator[List[bytes]]:
+    """K-way merge of sorted sources, each a stream of sorted chunks.
+
+    Each round takes, from every source's current chunk, the entries no
+    greater than the smallest chunk tail -- no entry still unread can
+    precede them -- and sorts them in one pass (Timsort merges the
+    presorted pieces).  At most one chunk per source is resident.
+    """
+    heads = []
+    for source in sources:
+        chunk = next(source, None)
+        if chunk:
+            heads.append((chunk, 0, source))
+    while heads:
+        first = min(heads, key=lambda head: head[0][-1])
+        bound = first[0][-1]
+        batch: List[bytes] = []
+        live = []
+        for head in heads:
+            chunk, position, source = head
+            # The chunk holding the bound is taken whole: every round
+            # consumes a chunk, even if a source is out of order.
+            cut = len(chunk) if head is first else bisect_right(chunk, bound, position)
+            batch += chunk[position:cut]
+            if cut == len(chunk):
+                chunk = next(source, None)
+                if not chunk:
+                    continue
+                cut = 0
+            live.append((chunk, cut, source))
+        heads = live
+        batch.sort()
+        yield batch
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ and its plan must hand workers extent refs, not pickled sessions.
 """
 
 import json
+import struct
 
 import pytest
 
@@ -24,8 +25,9 @@ from repro.sim.grouping import (
     resolve_grouping,
 )
 from repro.sim.kernel import SwarmTask, build_tasks, resolve_task
-from repro.sim.policies import PAPER_POLICY, SwarmPolicy
+from repro.sim.policies import PAPER_POLICY, EpochPolicy, SwarmKey, SwarmPolicy
 from repro.trace.generator import GeneratorConfig, TraceGenerator
+from repro.trace.store import _TAIL, StoreCorruptionError, StoreReader, StoreWriter
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +56,9 @@ class TestPlanEquivalence:
             SwarmPolicy(split_by_isp=False),
             SwarmPolicy(split_by_bitrate=False),
             SwarmPolicy(split_by_isp=False, split_by_bitrate=False),
+            EpochPolicy(PAPER_POLICY, 3600.0),
         ],
-        ids=["paper", "cross-isp", "mixed-bitrate", "content-only"],
+        ids=["paper", "cross-isp", "mixed-bitrate", "content-only", "epoch"],
     )
     def test_external_tasks_equal_memory_tasks(self, trace, tmp_path, policy):
         memory = MemoryGrouping().plan(trace, trace.horizon, policy)
@@ -156,6 +159,104 @@ class TestErrorContract:
     def test_rejects_bad_run_sessions(self):
         with pytest.raises(ValueError):
             ExternalGrouping(run_sessions=0)
+
+    def test_rejects_keys_sharing_a_sort_key(self, trace, tmp_path):
+        class Colliding(SwarmPolicy):
+            """Keys ``isp=None`` and ``isp=""``: distinct, same sort key."""
+
+            def key_for(self, session):
+                isp = None if session.isp == trace.isps[0] else ""
+                return SwarmKey(content_id=session.content_id, isp=isp)
+
+        with pytest.raises(ValueError, match="sort_key"):
+            ExternalGrouping(shard_dir=tmp_path, run_sessions=100).plan(
+                iter(trace.sessions), trace.horizon, Colliding()
+            )
+
+
+def write_store(sessions, path, horizon):
+    with StoreWriter(path, horizon=horizon) as writer:
+        for session in sessions:
+            writer.append(session)
+    return path
+
+
+#: Byte offsets of the float fields inside one 56 B store record.
+_FIELD_OFFSETS = {"start": 20, "duration": 28, "bitrate": 36}
+
+
+def patch_record(path, index, field, value):
+    """Overwrite one float field of one record in place."""
+    with open(path, "r+b") as handle:
+        handle.seek(8 + index * 56 + _FIELD_OFFSETS[field])
+        handle.write(struct.pack("<d", value))
+
+
+def blank_content_id(path):
+    """Rewrite the footer so the first content id is the empty string."""
+    data = path.read_bytes()
+    footer_offset, magic = _TAIL.unpack(data[-_TAIL.size :])
+    footer = json.loads(data[footer_offset : -_TAIL.size])
+    footer["content"][0] = ""
+    path.write_bytes(
+        data[:footer_offset]
+        + json.dumps(footer).encode("utf-8")
+        + _TAIL.pack(footer_offset, magic)
+    )
+
+
+class TestRawIntakeValidation:
+    """The store intake rejects exactly the records a Session rejects."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("start", -1.0),
+            ("duration", 0.0),
+            ("duration", -5.0),
+            ("bitrate", 0.0),
+            ("bitrate", -1.0),
+        ],
+    )
+    def test_rejects_patched_field(self, trace, tmp_path, field, value):
+        path = write_store(trace, tmp_path / "bad.store", trace.horizon)
+        patch_record(path, len(trace) // 2, field, value)
+        self.assert_rejected(path, trace.horizon, tmp_path, f"{field} must be")
+
+    def test_rejects_empty_content_id(self, trace, tmp_path):
+        path = write_store(trace, tmp_path / "bad.store", trace.horizon)
+        blank_content_id(path)
+        self.assert_rejected(path, trace.horizon, tmp_path, "content_id")
+
+    def test_rejects_sessions_past_horizon(self, trace, tmp_path):
+        path = write_store(trace, tmp_path / "t.store", trace.horizon)
+        self.assert_rejected(path, trace.horizon / 4, tmp_path, "horizon")
+
+    def test_rejects_refs_outside_the_tables(self, trace, tmp_path):
+        path = write_store(trace, tmp_path / "bad.store", trace.horizon)
+        with open(path, "r+b") as handle:
+            handle.seek(8 + 3 * 56 + 16)  # record 3's content ref
+            handle.write(struct.pack("<I", 10**6))
+        with StoreReader(path) as reader:
+            with pytest.raises(StoreCorruptionError):
+                ExternalGrouping(shard_dir=tmp_path, run_sessions=100).plan(
+                    reader.iter_sessions(), trace.horizon, PAPER_POLICY
+                )
+
+    @staticmethod
+    def assert_rejected(path, horizon, tmp_path, match):
+        shards = tmp_path / "shards"
+        with StoreReader(path) as reader:
+            with pytest.raises(ValueError, match=match):
+                ExternalGrouping(shard_dir=shards, run_sessions=100).plan(
+                    reader.iter_sessions(), horizon, PAPER_POLICY
+                )
+            if match != "horizon":
+                # Decoding the same store into sessions agrees.
+                with pytest.raises(ValueError, match=match):
+                    list(reader.iter_sessions())
+        # No half-built work directory survives the failure.
+        assert list(shards.glob("group-*")) == []
 
 
 class TestCleanup:

@@ -17,8 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import SimulationConfig, Simulator
 from repro.sim.grouping import ExternalGrouping, MemoryGrouping
+from repro.sim.policies import PAPER_POLICY, EpochPolicy, SwarmPolicy
 from repro.topology.nodes import intern_attachment
 from repro.trace.events import SECONDS_PER_DAY, Session
+from repro.trace.store import Extent, StoreReader, StoreWriter
 
 LAW = settings(
     max_examples=60,  # each example runs four full simulations
@@ -93,3 +95,86 @@ class TestGroupingLaws:
         # spill-and-merge on most examples).
         assert reference.identical_to(_run(sessions, "external", tmp_dir))
         assert reference.identical_to(_run(permutation, "external", tmp_dir))
+
+
+#: Policies the shard law ranges over: batch keys, and a time-scoped one.
+_policies = st.sampled_from(
+    [
+        PAPER_POLICY,
+        SwarmPolicy(split_by_isp=False, split_by_bitrate=False),
+        EpochPolicy(PAPER_POLICY, 3_600.0),
+    ]
+)
+
+
+def _write(sessions, path, horizon=0.0):
+    with StoreWriter(path, horizon=horizon) as writer:
+        for session in sessions:
+            writer.append(session)
+    return path
+
+
+def _reference_shard(sessions, policy, path):
+    """The shard bytes and extents of a plain in-memory sort."""
+    ordered = sorted(
+        sessions, key=lambda s: (policy.key_for(s).sort_key(), s.start, s.session_id)
+    )
+    _write(ordered, path, HORIZON)
+    extents = []
+    for index, session in enumerate(ordered):
+        key = policy.key_for(session)
+        if extents and extents[-1].key == key:
+            last = extents[-1]
+            extents[-1] = Extent(key=key, index=last.index, count=last.count + 1)
+        else:
+            extents.append(Extent(key=key, index=index, count=1))
+    return path.read_bytes(), tuple(extents)
+
+
+class TestShardLaw:
+    """The record sorter's shard equals a reference sort, byte for byte.
+
+    The shard cache keys entries on the store version, not on the code
+    that sorted them, so a shard cached by an earlier implementation is
+    served by a later one: this law pins the bytes and extents every
+    implementation must produce.
+    """
+
+    @LAW
+    @given(
+        data=session_lists(),
+        policy=_policies,
+        run_sessions=st.sampled_from([7, 10**6]),
+        intake=st.sampled_from(["iterator", "scan"]),
+        consumed=st.integers(min_value=0, max_value=30),
+    )
+    def test_shard_equals_reference_sort(
+        self, data, policy, run_sessions, intake, consumed, tmp_path_factory
+    ):
+        _, permutation = data
+        tmp_dir = tmp_path_factory.mktemp("law")
+        grouping = ExternalGrouping(shard_dir=tmp_dir, run_sessions=run_sessions)
+        if intake == "iterator":
+            remaining = permutation
+            plan = grouping.plan(iter(permutation), HORIZON, policy)
+        else:
+            source = _write(permutation, tmp_dir / "source.store", HORIZON)
+            with StoreReader(source) as reader:
+                scan = reader.iter_sessions()
+                # A scan partly consumed before grouping: only the rest
+                # is grouped.
+                consumed = min(consumed, len(permutation))
+                for _ in range(consumed):
+                    next(scan)
+                remaining = permutation[consumed:]
+                plan = grouping.plan(scan, HORIZON, policy)
+        try:
+            shard, extents = _reference_shard(
+                remaining, policy, tmp_dir / "reference.store"
+            )
+            with open(plan.manifest.path, "rb") as handle:
+                assert handle.read() == shard
+            assert plan.manifest.extents == extents
+            assert plan.stats().runs_spilled == len(remaining) // run_sessions
+        finally:
+            plan.cleanup()

@@ -1,6 +1,7 @@
 """Tests for the binary session store and external merge-sort."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -286,49 +287,175 @@ class TestManifest:
             evict_reader(path)
 
 
-class TestExternalSorter:
-    def sort_key(self, session: Session):
-        return (
-            PAPER_POLICY.key_for(session).sort_key(),
-            session.start,
-            session.session_id,
-        )
+def sort_key(session: Session):
+    return (
+        PAPER_POLICY.key_for(session).sort_key(),
+        session.start,
+        session.session_id,
+    )
 
+
+def sorted_sessions(sorter, path):
+    """Drain ``sorter.finish()`` into a store at ``path``; decode it."""
+    with StoreWriter(path) as writer:
+        for chunk in sorter.finish():
+            writer.append(chunk, sorter.tables)
+    with StoreReader(path) as reader:
+        return list(reader.iter_sessions())
+
+
+def expected_groups(sessions):
+    """``(key, count)`` per group of an already sorted session list."""
+    groups = []
+    for session in sessions:
+        key = PAPER_POLICY.key_for(session)
+        if groups and groups[-1][0] == key:
+            groups[-1][1] += 1
+        else:
+            groups.append([key, 1])
+    return [tuple(group) for group in groups]
+
+
+class TestExternalSorter:
     def test_sorted_output_with_spilling(self, trace, tmp_path):
-        sorter = ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=50)
+        sorter = ExternalSessionSorter(PAPER_POLICY, tmp_path, run_sessions=50)
         sorter.extend(trace.sessions)
-        merged = list(sorter.finish())
-        assert merged == sorted(trace.sessions, key=self.sort_key)
+        merged = sorted_sessions(sorter, tmp_path / "sorted.store")
+        reference = sorted(trace.sessions, key=sort_key)
+        assert merged == reference
+        assert sorter.groups() == expected_groups(reference)
         stats = sorter.stats
         assert stats.sessions == len(trace)
         assert stats.runs_spilled == len(trace) // 50
         assert stats.peak_buffered <= 50
+        assert stats.latest_end == max(s.end for s in trace.sessions)
         # Run files are removed once the merge completes.
         assert list(tmp_path.glob("run-*.store")) == []
 
     def test_no_spill_when_buffer_fits(self, trace, tmp_path):
-        sorter = ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=10**6)
+        sorter = ExternalSessionSorter(PAPER_POLICY, tmp_path, run_sessions=10**6)
         sorter.extend(trace.sessions)
-        merged = list(sorter.finish())
-        assert merged == sorted(trace.sessions, key=self.sort_key)
+        merged = sorted_sessions(sorter, tmp_path / "sorted.store")
+        assert merged == sorted(trace.sessions, key=sort_key)
         assert sorter.stats.runs_spilled == 0
 
     def test_order_independent_of_input_permutation(self, trace, tmp_path):
-        forward = ExternalSessionSorter(self.sort_key, tmp_path / "a", run_sessions=64)
+        forward = ExternalSessionSorter(PAPER_POLICY, tmp_path / "a", run_sessions=64)
         forward.extend(trace.sessions)
-        backward = ExternalSessionSorter(self.sort_key, tmp_path / "b", run_sessions=64)
+        backward = ExternalSessionSorter(PAPER_POLICY, tmp_path / "b", run_sessions=64)
         backward.extend(reversed(trace.sessions))
-        assert list(forward.finish()) == list(backward.finish())
+        assert sorted_sessions(forward, tmp_path / "a.store") == sorted_sessions(
+            backward, tmp_path / "b.store"
+        )
+        assert forward.groups() == backward.groups()
 
     def test_add_after_finish_rejected(self, trace, tmp_path):
-        sorter = ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=10)
+        sorter = ExternalSessionSorter(PAPER_POLICY, tmp_path, run_sessions=10)
         sorter.add(trace.sessions[0])
         list(sorter.finish())
         with pytest.raises(RuntimeError):
             sorter.add(trace.sessions[1])
         with pytest.raises(RuntimeError):
+            sorter.add_records(b"")
+        with pytest.raises(RuntimeError):
             list(sorter.finish())
 
     def test_rejects_bad_run_sessions(self, tmp_path):
         with pytest.raises(ValueError):
-            ExternalSessionSorter(self.sort_key, tmp_path, run_sessions=0)
+            ExternalSessionSorter(PAPER_POLICY, tmp_path, run_sessions=0)
+
+    def test_spilled_runs_are_sorted_stores(self, trace, tmp_path):
+        sorter = ExternalSessionSorter(PAPER_POLICY, tmp_path, run_sessions=100)
+        sorter.extend(trace.sessions[:250])
+        runs = sorted(tmp_path.glob("run-*.store"))
+        assert len(runs) == 2
+        for run in runs:
+            with StoreReader(run) as reader:
+                sessions = list(reader.iter_sessions())
+            assert len(sessions) == 100
+            assert sessions == sorted(sessions, key=sort_key)
+        list(sorter.finish())
+
+    @pytest.mark.parametrize("run_sessions", [37, 10**6])
+    def test_raw_intake_equals_session_intake(self, trace, tmp_path, run_sessions):
+        source = write_store(trace, tmp_path / "source.store", trace.horizon)
+        by_session = ExternalSessionSorter(
+            PAPER_POLICY, tmp_path / "s", run_sessions=run_sessions
+        )
+        by_session.extend(trace.sessions)
+        with StoreReader(source) as reader:
+            by_record = ExternalSessionSorter(
+                PAPER_POLICY,
+                tmp_path / "r",
+                run_sessions=run_sessions,
+                tables=reader.tables,
+            )
+            for chunk in reader.iter_sessions().raw_chunks():
+                by_record.add_records(chunk)
+        a = sorted_sessions(by_session, tmp_path / "a.store")
+        b = sorted_sessions(by_record, tmp_path / "b.store")
+        assert a == b == sorted(trace.sessions, key=sort_key)
+        assert (tmp_path / "a.store").read_bytes() == (
+            tmp_path / "b.store"
+        ).read_bytes()
+        assert by_session.groups() == by_record.groups()
+        assert by_session.stats == by_record.stats
+
+
+    def test_negative_zero_start_sorts_as_zero(self, trace, tmp_path):
+        # -0.0 == 0.0, so the session id alone orders these two.
+        first, second = (
+            replace(trace.sessions[0], session_id=sid, start=start)
+            for sid, start in ((1, -0.0), (2, 0.0))
+        )
+        sorter = ExternalSessionSorter(PAPER_POLICY, tmp_path, run_sessions=10)
+        sorter.extend([second, first])
+        merged = sorted_sessions(sorter, tmp_path / "sorted.store")
+        assert [s.session_id for s in merged] == [1, 2]
+
+
+class TestStoreScan:
+    def test_position_tracks_what_was_yielded(self, trace, tmp_path):
+        path = write_store(trace, tmp_path / "t.store")
+        with StoreReader(path) as reader:
+            scan = reader.iter_sessions()
+            assert scan.reader is reader and scan.position == 0
+            head = [next(scan) for _ in range(5)]
+            assert head == list(trace.sessions[:5])
+            assert scan.position == 5
+            assert list(scan) == list(trace.sessions[5:])
+            assert scan.position == len(trace)
+
+    def test_raw_chunks_resume_where_sessions_stopped(self, trace, tmp_path):
+        path = write_store(trace, tmp_path / "t.store")
+        with StoreReader(path) as reader:
+            scan = reader.iter_sessions()
+            for _ in range(7):
+                next(scan)
+            raw = b"".join(scan.raw_chunks())
+            assert raw == reader.read_raw_range(7, len(trace) - 7)
+            # The chunks consumed the scan.
+            assert scan.position == len(trace)
+            assert list(scan) == []
+
+
+class TestAppendRawRecords:
+    def test_bytes_equal_appending_sessions(self, trace, tmp_path):
+        source = write_store(trace, tmp_path / "source.store", trace.horizon)
+        order = sorted(range(len(trace)), key=lambda i: sort_key(trace.sessions[i]))
+        expected = write_store(
+            [trace.sessions[i] for i in order], tmp_path / "expected.store"
+        )
+        with StoreReader(source) as reader:
+            raws = [reader.read_raw_range(i, 1) for i in range(len(reader))]
+            with StoreWriter(tmp_path / "repacked.store") as writer:
+                for start in range(0, len(order), 100):
+                    chunk = b"".join(raws[i] for i in order[start : start + 100])
+                    assert writer.append(chunk, reader.tables) == start
+        assert (tmp_path / "repacked.store").read_bytes() == expected.read_bytes()
+
+    def test_rejects_append_after_close(self, tmp_path):
+        writer = StoreWriter(tmp_path / "t.store")
+        writer.close()
+        with pytest.raises(RuntimeError):
+            writer.append(b"", ([], [], []))
