@@ -18,14 +18,15 @@ the reduction was.  This module makes grouping pluggable:
   :class:`~repro.trace.store.ShardManifest` maps each swarm to its
   ``(file, offset, length)`` extent.  Coordinator grouping memory is
   O(``run_sessions``), independent of trace size.  A
-  :class:`~repro.trace.store.StoreScan` (what
-  ``StoreReader.iter_sessions()`` returns) is sorted straight from its
-  raw chunks, so grouping a store builds no ``Session`` at all; any
-  other iterable is packed into records as it streams in.  The swarm
-  key is computed once per distinct ``(content_id, isp, bitrate)``
-  (and epoch, for a time-scoped policy), which relies on the policy
-  contract: a non-time-scoped policy's key is a function of those
-  three fields only.
+  :class:`~repro.trace.store.RecordScan` -- what
+  ``StoreReader.iter_sessions()`` and ``TraceGenerator.iter_sessions()``
+  return -- is sorted straight from its raw chunks, so grouping a store
+  or a generated trace builds no ``Session`` at all; any other iterable
+  is packed into records as it streams in.  The swarm key is computed
+  once per distinct ``(content_id, isp, bitrate)`` (and epoch, for a
+  time-scoped policy), which relies on the policy contract: a
+  non-time-scoped policy's key is a function of those three fields
+  only.
 
 Both strategies produce a :class:`TaskPlan` -- the lazy interface
 backends consume instead of a materialized task list.  A plan knows its
@@ -65,9 +66,9 @@ from repro.trace.store import (
     STORE_VERSION,
     Extent,
     ExternalSessionSorter,
+    RecordScan,
     SessionColumns,
     ShardManifest,
-    StoreScan,
     StoreWriter,
     evict_reader,
     load_manifest,
@@ -477,11 +478,11 @@ class ExternalGrouping(GroupingStrategy):
             owned_dir = work_dir
 
         try:
-            if isinstance(sessions, StoreScan):
-                # The zero-object intake: the store's raw records, sorted
+            if isinstance(sessions, RecordScan):
+                # The zero-object intake: the scan's raw records, sorted
                 # against its own string tables.
                 sorter = ExternalSessionSorter(
-                    policy, work_dir, self.run_sessions, tables=sessions.reader.tables
+                    policy, work_dir, self.run_sessions, tables=sessions.tables
                 )
                 for chunk in sessions.raw_chunks():
                     sorter.add_records(chunk)

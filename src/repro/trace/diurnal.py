@@ -15,7 +15,9 @@ item's sessions over the month.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -98,22 +100,39 @@ class DiurnalProfile:
 
         Inverse-CDF over the piecewise-constant hourly intensity: pick a
         point uniform in total mass, find its hour by bisection, place it
-        uniformly within the hour.  Returned times are unsorted.
+        uniformly within the hour.  Returned times are unsorted.  The
+        hourly table is built once per ``(profile, horizon)``, not once
+        per call.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        cumulative = self.hourly_cumulative(horizon)
+        cumulative, masses = _inverse_cdf(self, horizon)
         total = cumulative[-1]
+        last = len(masses) - 1
+        limit = horizon - 1e-6
+        draw = rng.random
         times = []
+        append = times.append
         for _ in range(count):
-            point = rng.random() * total
+            point = draw() * total
             hour = bisect.bisect_right(cumulative, point) - 1
-            hour = min(hour, len(cumulative) - 2)
-            mass = cumulative[hour + 1] - cumulative[hour]
-            frac = (point - cumulative[hour]) / mass if mass > 0 else rng.random()
+            if hour > last:
+                hour = last
+            mass = masses[hour]
+            frac = (point - cumulative[hour]) / mass if mass > 0 else draw()
             t = (hour + frac) * SECONDS_PER_HOUR
-            times.append(min(t, horizon - 1e-6))
+            append(t if t < limit else limit)
         return times
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_cdf(
+    profile: DiurnalProfile, horizon: float
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """``profile``'s hourly cumulative table over ``horizon``, and each
+    hour's mass (``cumulative[h + 1] - cumulative[h]``)."""
+    cumulative = tuple(profile.hourly_cumulative(horizon))
+    return cumulative, tuple(map(operator.sub, cumulative[1:], cumulative))
 
 
 #: UK catch-up TV shape: evening peak, modest weekend daytime boost.

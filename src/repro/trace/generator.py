@@ -17,23 +17,45 @@ Scale is set by ``num_users`` / ``expected_sessions`` -- defaults are
 roughly 1:100 of the paper's London month (Table I), which keeps every
 experiment laptop-sized while exercising identical code paths.  All
 randomness flows from a single seed: traces are fully reproducible.
+
+Generation builds no ``Session`` unless asked to.
+:meth:`TraceGenerator.iter_sessions` returns a :class:`GeneratorScan`:
+it reduces the catalogue and population to per-item and per-user
+columns, then packs each session straight into a raw 56 B store record
+(:mod:`repro.trace.store`).  External grouping sorts those records as
+they are; iterating the scan, or :meth:`TraceGenerator.generate`,
+decodes the same records into ``Session`` values, so both routes see
+one implementation and identical sessions.  Beta completions come from
+:func:`beta_sampler`, which reproduces ``random.Random.betavariate``
+draw for draw.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from itertools import accumulate, count
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.topology.city import CityNetwork, default_london
-from repro.trace.catalogue import Catalogue, ContentItem
+from repro.trace.catalogue import Catalogue
 from repro.trace.diurnal import DiurnalProfile, UK_TV_PROFILE
-from repro.trace.events import SECONDS_PER_DAY, Session, Trace
+from repro.trace.events import SECONDS_PER_DAY, Trace
 from repro.trace.population import DEFAULT_DEVICE_MIX, DeviceProfile, Population
+from repro.trace.store import RECORD_SIZE, RecordScan
 
-__all__ = ["GeneratorConfig", "TraceGenerator", "generate_trace", "sample_poisson"]
+__all__ = [
+    "GeneratorConfig",
+    "GeneratorScan",
+    "TraceGenerator",
+    "beta_sampler",
+    "generate_trace",
+    "sample_poisson",
+]
 
 
 @dataclass(frozen=True)
@@ -130,6 +152,66 @@ def sample_poisson(rng: random.Random, lam: float) -> int:
     return max(0, int(round(value)))
 
 
+def beta_sampler(
+    rng: random.Random, alpha: float, beta: float
+) -> Callable[[int], Iterator[float]]:
+    """A function yielding ``k`` values of ``rng.betavariate(alpha, beta)``.
+
+    The values are the floats ``rng.betavariate`` would return, in order,
+    and each is drawn from ``rng`` as it is consumed, exactly as
+    ``rng.betavariate`` would draw it.  For ``alpha, beta > 1``
+    CPython draws a Beta as ``y / (y + z)`` from two unit-scale Gamma
+    variates, each by Cheng's rejection algorithm; that code is copied
+    here with Cheng's constants computed once, not per draw (its source
+    is the same in CPython 3.11, 3.12 and 3.13).  Other shapes fall back
+    to ``rng.betavariate`` itself.
+    """
+    if alpha <= 1.0 or beta <= 1.0:
+        betavariate = rng.betavariate
+        return lambda k: (betavariate(alpha, beta) for _ in range(k))
+    gamma_alpha = _cheng_gamma(rng, alpha)
+    gamma_beta = _cheng_gamma(rng, beta)
+
+    def sample(k: int) -> Iterator[float]:
+        for _ in range(k):
+            # ``y`` is positive here, so ``betavariate`` always draws the
+            # second Gamma variate.
+            y = gamma_alpha()
+            yield y / (y + gamma_beta())
+
+    return sample
+
+
+def _cheng_gamma(rng: random.Random, shape: float) -> Callable[[], float]:
+    """``rng.gammavariate(shape, 1.0)`` for ``shape > 1``, constants hoisted.
+
+    Cheng's rejection algorithm exactly as CPython's ``gammavariate``
+    runs it: the same draws and the same float operations (its final
+    ``x * 1.0`` scale is exact, so it is left out).
+    """
+    draw = rng.random
+    log, exp = math.log, math.exp
+    magic = random.SG_MAGICCONST
+    ainv = math.sqrt(2.0 * shape - 1.0)
+    bbb = shape - random.LOG4
+    ccc = shape + ainv
+
+    def gamma() -> float:
+        while True:
+            u1 = draw()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - draw()
+            v = log(u1 / (1.0 - u1)) / ainv
+            x = shape * exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + magic - 4.5 * z >= 0.0 or r >= log(z):
+                return x
+
+    return gamma
+
+
 @dataclass(frozen=True)
 class TraceGenerator:
     """Generates reproducible synthetic traces from a config.
@@ -176,59 +258,24 @@ class TraceGenerator:
         """
         return Trace.from_sessions(self.iter_sessions(), horizon=self.config.horizon)
 
-    def iter_sessions(self) -> Iterator[Session]:
-        """Yield the trace's sessions lazily, one at a time.
+    def iter_sessions(self) -> "GeneratorScan":
+        """The trace's sessions as a lazy, resumable record scan.
 
         The streaming twin of :meth:`generate`: identical sessions (the
-        same RNG streams are consumed in the same order), yielded one at
-        a time instead of collected and sorted into a
-        :class:`~repro.trace.events.Trace` tuple.  Feeding this into
-        ``Simulator.run_stream`` skips that intermediate materialized
-        copy -- the simulator still retains the sessions grouped into
-        swarm shards, so peak memory remains O(sessions), just with one
-        full-trace tuple less; a consumer that filters or windows the
-        stream keeps only what it selects.  Sessions arrive in
+        same RNG streams are consumed in the same order), produced a
+        chunk of records at a time instead of collected and sorted into
+        a :class:`~repro.trace.events.Trace` tuple.  Sessions arrive in
         generation order (grouped by content item), *not* sorted by
         start time; the simulator's canonical sharding makes the result
         independent of that ordering.
+
+        The returned :class:`GeneratorScan` is an iterator of
+        ``Session`` values, and also a
+        :class:`~repro.trace.store.RecordScan`: external grouping takes
+        its records as raw 56 B chunks, so a generated trace is sorted
+        without building one ``Session``.
         """
-        catalogue = self.build_catalogue()
-        population = self.build_population()
-        rng = random.Random(self._derived_seed("sessions"))
-        horizon = self.config.horizon
-
-        users = list(population.users)
-        cum_weights = _cumulative(population.activity_weights())
-
-        session_id = 0
-        for item in catalogue:
-            count = sample_poisson(rng, item.expected_views)
-            if count == 0:
-                continue
-            times = self.profile.sample_times(count, horizon, rng)
-            viewers = rng.choices(users, cum_weights=cum_weights, k=count)
-            for start, viewer in zip(times, viewers):
-                duration = self._session_duration(item, rng)
-                duration = min(duration, horizon - start)
-                if duration < self.config.min_session_seconds:
-                    continue
-                yield Session(
-                    session_id=session_id,
-                    user_id=viewer.user_id,
-                    content_id=item.content_id,
-                    start=start,
-                    duration=duration,
-                    bitrate=viewer.bitrate,
-                    attachment=viewer.attachment,
-                    device=viewer.device.name,
-                )
-                session_id += 1
-
-    def _session_duration(self, item: ContentItem, rng: random.Random) -> float:
-        completion = rng.betavariate(
-            self.config.completion_alpha, self.config.completion_beta
-        )
-        return max(item.duration * completion, self.config.min_session_seconds)
+        return GeneratorScan(self)
 
     def _derived_seed(self, stream: str) -> int:
         """Independent, stable seed per generation stream.
@@ -238,6 +285,131 @@ class TraceGenerator:
         """
         mixed = zlib.crc32(stream.encode("utf-8")) ^ (self.config.seed * 0x9E3779B1)
         return mixed & 0x7FFFFFFF
+
+
+#: A viewer's last five record fields: bitrate, ISP ref, pop, exchange,
+#: device ref.
+_VIEWER = struct.Struct("<dHIIH")
+#: A generated record: session id, user id, content ref, start,
+#: duration, then the viewer's fields pre-packed.  Byte for byte the
+#: store's 56 B record.
+_GENERATED = struct.Struct(f"<qqIdd{_VIEWER.size}s")
+assert _GENERATED.size == RECORD_SIZE
+
+#: Bytes per raw chunk: 1024 records.  A sort intake call unpacks a
+#: whole chunk at once, so the chunk bounds that transient.
+_CHUNK_BYTES = 1024 * RECORD_SIZE
+
+
+class GeneratorScan(RecordScan):
+    """A generator's sessions as a resumable record scan.
+
+    What :meth:`TraceGenerator.iter_sessions` returns.  The catalogue
+    and population are built on first use and reduced to compact
+    columns: per item its expected views and length; per user its id
+    (an ``array``), its viewer fields (one packed ``bytes``) and its
+    cumulative activity weight.  The ``User`` and ``ContentItem``
+    objects are dropped then.  :attr:`tables` interns every content id,
+    ISP and device name up front.  Sessions are packed straight into raw
+    chunks of at most 1024 records (:meth:`raw_chunks`), and iterating
+    the scan decodes those same chunks into ``Session`` values.
+    """
+
+    def __init__(self, generator: TraceGenerator) -> None:
+        super().__init__()
+        self.generator = generator
+        self._tables: Optional[Tuple[List[str], List[str], List[str]]] = None
+        self._columns: Optional[tuple] = None
+
+    @property
+    def tables(self) -> Tuple[List[str], List[str], List[str]]:
+        """Every content id, ISP name and device name, interned up front."""
+        if self._tables is None:
+            self._build_columns()
+        return self._tables
+
+    def _build_columns(self) -> None:
+        catalogue = self.generator.build_catalogue()
+        population = self.generator.build_population()
+        isp_refs: Dict[str, int] = {}
+        device_refs: Dict[str, int] = {}
+        viewers = bytearray(_VIEWER.size * len(population))
+        for offset, user in zip(count(0, _VIEWER.size), population.users):
+            attachment = user.attachment
+            _VIEWER.pack_into(
+                viewers,
+                offset,
+                user.bitrate,
+                isp_refs.setdefault(attachment.isp, len(isp_refs)),
+                attachment.pop,
+                attachment.exchange,
+                device_refs.setdefault(user.device.name, len(device_refs)),
+            )
+        self._columns = (
+            [(item.expected_views, item.duration) for item in catalogue],
+            array("q", [user.user_id for user in population.users]),
+            bytes(viewers),
+            list(accumulate(population.activity_weights())),
+        )
+        self._tables = (
+            [item.content_id for item in catalogue],
+            list(isp_refs),
+            list(device_refs),
+        )
+
+    def _chunks(self) -> Iterator[bytes]:
+        """Per item: a Poisson view count, diurnal-shaped start times,
+        activity-weighted viewers, Beta-completion durations (clamped to
+        the horizon; too-short sessions dropped), packed as records."""
+        if self._tables is None:
+            self._build_columns()
+        items, user_ids, viewers, cum_weights = self._columns
+        self._columns = None
+        generator = self.generator
+        config = generator.config
+        rng = random.Random(generator._derived_seed("sessions"))
+        horizon = config.horizon
+        floor = config.min_session_seconds
+        completions = beta_sampler(rng, config.completion_alpha, config.completion_beta)
+        sample_times = generator.profile.sample_times
+        population = range(len(user_ids))
+        width = _VIEWER.size
+        pack_into = _GENERATED.pack_into
+        chunk = bytearray(_CHUNK_BYTES)
+        offset = 0
+        session_id = 0
+        for content_ref, (expected_views, length) in enumerate(items):
+            views = sample_poisson(rng, expected_views)
+            if views == 0:
+                continue
+            times = sample_times(views, horizon, rng)
+            chosen = rng.choices(population, cum_weights=cum_weights, k=views)
+            for start, viewer, completion in zip(times, chosen, completions(views)):
+                duration = length * completion
+                if duration < floor:
+                    duration = floor
+                rest = horizon - start
+                if rest < duration:
+                    duration = rest
+                    if duration < floor:
+                        continue
+                pack_into(
+                    chunk,
+                    offset,
+                    session_id,
+                    user_ids[viewer],
+                    content_ref,
+                    start,
+                    duration,
+                    viewers[viewer * width : (viewer + 1) * width],
+                )
+                session_id += 1
+                offset += RECORD_SIZE
+                if offset == _CHUNK_BYTES:
+                    yield bytes(chunk)
+                    offset = 0
+        if offset:
+            yield bytes(chunk[:offset])
 
 
 def generate_trace(
@@ -255,10 +427,3 @@ def generate_trace(
     return generator.generate()
 
 
-def _cumulative(weights: Sequence[float]) -> list:
-    total = 0.0
-    out = []
-    for w in weights:
-        total += w
-        out.append(total)
-    return out

@@ -25,10 +25,11 @@ on:
   independent of the simulation layer.  It takes records through two
   intakes: :meth:`~ExternalSessionSorter.add` packs any
   :class:`~repro.trace.events.Session`, and
-  :meth:`~ExternalSessionSorter.add_records` takes raw chunks of a store
-  file as they are -- read, for instance, from the
-  :class:`StoreScan` :meth:`StoreReader.iter_sessions` returns -- so a
-  store is sorted without building one ``Session``.
+  :meth:`~ExternalSessionSorter.add_records` takes raw chunks of
+  records as they are -- from any :class:`RecordScan`, such as the
+  :class:`StoreScan` :meth:`StoreReader.iter_sessions` returns or the
+  trace generator's scan -- so a store or a generated trace is sorted
+  without building one ``Session``.
 * :class:`Extent` / :class:`ShardManifest` -- the map from each group
   (swarm) to its ``(file, offset, length)`` extent in a sorted store,
   the unit of zero-copy handoff to workers.
@@ -51,6 +52,7 @@ import math
 import os
 import struct
 import threading
+from abc import abstractmethod
 from array import array
 from bisect import bisect_right
 from collections import Counter, OrderedDict
@@ -81,6 +83,7 @@ __all__ = [
     "SessionColumns",
     "StoreWriter",
     "StoreReader",
+    "RecordScan",
     "StoreScan",
     "Extent",
     "ShardManifest",
@@ -507,34 +510,7 @@ class StoreReader:
                 f"{self.path}: extent holds {len(buffer)} bytes, "
                 f"expected {count} records ({count * RECORD_SIZE} bytes)"
             )
-        content, isp, device = self._content, self._isp, self._device
-        sessions: List[Session] = []
-        for fields in _RECORD.iter_unpack(buffer):
-            (
-                session_id,
-                user_id,
-                content_ref,
-                start,
-                duration,
-                bitrate,
-                isp_ref,
-                pop,
-                exchange,
-                device_ref,
-            ) = fields
-            sessions.append(
-                Session(
-                    session_id=session_id,
-                    user_id=user_id,
-                    content_id=content[content_ref],
-                    start=start,
-                    duration=duration,
-                    bitrate=bitrate,
-                    attachment=intern_attachment(isp[isp_ref], pop, exchange),
-                    device=device[device_ref],
-                )
-            )
-        return sessions
+        return _decode(buffer, self.tables)
 
     def read_raw_range(self, index: int, count: int) -> bytes:
         """Read ``count`` raw 56 B records starting at record ``index``.
@@ -624,55 +600,117 @@ class StoreReader:
         return StoreScan(self)
 
 
-class StoreScan(Iterator[Session]):
-    """An iterator of a store's sessions that knows where it stands.
+def _decode(buffer: bytes, tables: Sequence[Sequence[str]]) -> List[Session]:
+    """The sessions ``buffer``'s records stand for, refs resolved in ``tables``."""
+    content, isp, device = tables
+    sessions: List[Session] = []
+    for fields in _RECORD.iter_unpack(buffer):
+        (
+            session_id,
+            user_id,
+            content_ref,
+            start,
+            duration,
+            bitrate,
+            isp_ref,
+            pop,
+            exchange,
+            device_ref,
+        ) = fields
+        sessions.append(
+            Session(
+                session_id=session_id,
+                user_id=user_id,
+                content_id=content[content_ref],
+                start=start,
+                duration=duration,
+                bitrate=bitrate,
+                attachment=intern_attachment(isp[isp_ref], pop, exchange),
+                device=device[device_ref],
+            )
+        )
+    return sessions
 
-    Iterating yields :class:`~repro.trace.events.Session` values in
-    record order, decoded one read chunk at a time.  The scan also
-    exposes its :attr:`reader` and :attr:`position`, and
-    :meth:`raw_chunks` hands the records not yet yielded over as raw
-    56 B chunks instead -- the intake external grouping sorts from
-    without building a ``Session``.
+
+class RecordScan(Iterator[Session]):
+    """An iterator of sessions that can hand its rest over as raw records.
+
+    A subclass supplies :attr:`tables` -- the ``(content, isp, device)``
+    strings its records' refs index, complete before the first chunk --
+    and :meth:`_chunks`, a generator of its records in order as raw 56 B
+    chunks (it runs lazily, from the first session or chunk asked for).
+    Iterating decodes one chunk at a time into
+    :class:`~repro.trace.events.Session` values; :meth:`raw_chunks`
+    hands the records not yet yielded over undecoded instead -- the
+    intake external grouping sorts from without building a ``Session``.
+    """
+
+    def __init__(self) -> None:
+        #: The chunks after the current one.
+        self._source = self._chunks()
+        self._chunk = b""
+        #: The current chunk's sessions not yet yielded.
+        self._decoded: Iterator[Session] = iter(())
+
+    @property
+    @abstractmethod
+    def tables(self) -> Tuple[Sequence[str], Sequence[str], Sequence[str]]:
+        """The ``(content, isp, device)`` strings the records' refs index."""
+
+    @abstractmethod
+    def _chunks(self) -> Iterator[bytes]:
+        """Every record of the scan, in order, as raw chunks."""
+
+    def __next__(self) -> Session:
+        session = next(self._decoded, None)
+        while session is None:
+            chunk = next(self._source, None)
+            if chunk is None:
+                raise StopIteration
+            self._chunk = chunk
+            self._decoded = iter(_decode(chunk, self.tables))
+            session = next(self._decoded, None)
+        return session
+
+    def raw_chunks(self) -> Iterator[bytes]:
+        """The records not yet yielded, as raw chunks; consumes the scan."""
+        left = length_hint(self._decoded)
+        self._decoded = iter(())
+        if left:
+            yield self._chunk[len(self._chunk) - left * RECORD_SIZE :]
+        yield from self._source
+
+
+class StoreScan(RecordScan):
+    """A :class:`RecordScan` over a store, in record order.
+
+    Chunks come from :meth:`StoreReader.read_raw_range`, so every one is
+    validated.  The scan also exposes its :attr:`reader` and
+    :attr:`position`.
     """
 
     def __init__(self, reader: StoreReader) -> None:
+        super().__init__()
         self.reader = reader
-        self._decoded: Iterator[Session] = iter(())
-        #: Index of the first record not yet decoded.
+        #: Index of the first record not yet read.
         self._next = 0
+
+    @property
+    def tables(self) -> Tuple[List[str], List[str], List[str]]:
+        """The reader's ``(content, isp, device)`` string tables."""
+        return self.reader.tables
 
     @property
     def position(self) -> int:
         """Index of the next record the scan would yield."""
         return self._next - length_hint(self._decoded)
 
-    def __next__(self) -> Session:
-        session = next(self._decoded, None)
-        if session is None:
-            remaining = len(self.reader) - self._next
-            if remaining <= 0:
-                raise StopIteration
-            count = min(_READ_CHUNK_RECORDS, remaining)
-            self._decoded = iter(self.reader.read_range(self._next, count))
-            self._next += count
-            session = next(self._decoded)
-        return session
-
-    def raw_chunks(self) -> Iterator[bytes]:
-        """The records not yet yielded, as validated raw chunks.
-
-        Consumes the scan: each chunk comes from
-        :meth:`StoreReader.read_raw_range`, and the scan ends where the
-        chunks do.
-        """
-        index = self._next = self.position
-        self._decoded = iter(())
+    def _chunks(self) -> Iterator[bytes]:
         total = len(self.reader)
-        while index < total:
-            count = min(_READ_CHUNK_RECORDS, total - index)
-            chunk = self.reader.read_raw_range(index, count)
-            index += count
-            self._next = index
+        while self._next < total:
+            count = min(_READ_CHUNK_RECORDS, total - self._next)
+            chunk = self.reader.read_raw_range(self._next, count)
+            self._next += count
             yield chunk
 
 

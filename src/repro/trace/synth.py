@@ -48,6 +48,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
+from itertools import accumulate
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -268,15 +269,6 @@ class SynthResult:
     reused: bool
 
 
-def _cumulative(weights: List[float]) -> List[float]:
-    total = 0.0
-    out = []
-    for weight in weights:
-        total += weight
-        out.append(total)
-    return out
-
-
 def _hourly_cumulative(config: SynthConfig) -> List[float]:
     """Cumulative weights of the 24 in-day demand hours.
 
@@ -290,7 +282,7 @@ def _hourly_cumulative(config: SynthConfig) -> List[float]:
         phase = 2.0 * math.pi * (hour + 0.5 - config.peak_hour) / 24.0
         bump = (0.5 * (1.0 + math.cos(phase))) ** 2
         weights.append((1.0 - strength) + strength * bump)
-    return _cumulative(weights)
+    return list(accumulate(weights))
 
 
 def _build_population(config: SynthConfig):
@@ -301,11 +293,11 @@ def _build_population(config: SynthConfig):
     the cumulative per-user activity weights used to sample viewers.
     """
     rng = random.Random(config._derived_seed("population"))
-    isp_cum = _cumulative(zipf_weights(config.num_isps, config.isp_skew))
-    exchange_cum = _cumulative(
-        zipf_weights(config.num_exchanges, config.exchange_skew)
+    isp_cum = list(accumulate(zipf_weights(config.num_isps, config.isp_skew)))
+    exchange_cum = list(
+        accumulate(zipf_weights(config.num_exchanges, config.exchange_skew))
     )
-    device_cum = _cumulative([d.share for d in DEFAULT_DEVICE_MIX])
+    device_cum = list(accumulate(d.share for d in DEFAULT_DEVICE_MIX))
     activity = zipf_weights(config.users, config.user_activity_skew)
     isp_refs: List[int] = []
     pops: List[int] = []
@@ -332,7 +324,7 @@ def _build_population(config: SynthConfig):
     # weight multiset -- and thus total demand -- is skew-exact).
     order = list(range(config.users))
     rng.shuffle(order)
-    user_cum = _cumulative([activity[order[u]] for u in range(config.users)])
+    user_cum = list(accumulate(activity[order[u]] for u in range(config.users)))
     return isp_refs, pops, exchanges, bitrates, device_refs, user_cum
 
 

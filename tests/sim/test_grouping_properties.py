@@ -19,8 +19,15 @@ from repro.sim import SimulationConfig, Simulator
 from repro.sim.grouping import ExternalGrouping, MemoryGrouping
 from repro.sim.policies import PAPER_POLICY, EpochPolicy, SwarmPolicy
 from repro.topology.nodes import intern_attachment
+from repro.trace.diurnal import UK_TV_PROFILE, DiurnalProfile
 from repro.trace.events import SECONDS_PER_DAY, Session
-from repro.trace.store import Extent, StoreReader, StoreWriter
+from repro.trace.generator import GeneratorConfig, TraceGenerator
+from repro.trace.store import (
+    ExternalSessionSorter,
+    Extent,
+    StoreReader,
+    StoreWriter,
+)
 
 LAW = settings(
     max_examples=60,  # each example runs four full simulations
@@ -178,3 +185,79 @@ class TestShardLaw:
             assert plan.stats().runs_spilled == len(remaining) // run_sessions
         finally:
             plan.cleanup()
+
+
+#: Night hours with no demand at all.
+_DARK_NIGHTS = DiurnalProfile(
+    hourly=(0.0,) * 6 + (1.0,) * 12 + (0.5,) * 5 + (0.0,), weekend_multiplier=1.5
+)
+
+
+def _generator(seed, profile, min_session_seconds):
+    config = GeneratorConfig(
+        num_users=60,
+        num_items=6,
+        days=1,
+        expected_sessions=70,
+        min_session_seconds=min_session_seconds,
+        seed=seed,
+    )
+    return TraceGenerator(config=config, profile=profile)
+
+
+def _shard(plan):
+    try:
+        with open(plan.manifest.path, "rb") as handle:
+            return handle.read(), plan.manifest.extents, plan.stats().runs_spilled
+    finally:
+        plan.cleanup()
+
+
+class TestGeneratorIntakeLaw:
+    """A generator scan is grouped from raw records, and its shard is
+    the one the ``Session`` intake builds from the same sessions."""
+
+    @LAW
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        profile=st.sampled_from([UK_TV_PROFILE, _DARK_NIGHTS]),
+        min_session_seconds=st.sampled_from([60.0, 6 * 3_600.0]),
+        policy=_policies,
+        run_sessions=st.sampled_from([7, 10**6]),
+        consumed=st.integers(min_value=0, max_value=40),
+    )
+    def test_shard_equals_session_intake(
+        self,
+        seed,
+        profile,
+        min_session_seconds,
+        policy,
+        run_sessions,
+        consumed,
+        tmp_path_factory,
+    ):
+        generator = _generator(seed, profile, min_session_seconds)
+        sessions = list(generator.iter_sessions())
+        consumed = min(consumed, len(sessions))
+        tmp_dir = tmp_path_factory.mktemp("gen")
+        grouping = ExternalGrouping(shard_dir=tmp_dir, run_sessions=run_sessions)
+        expected = _shard(
+            grouping.plan(iter(sessions[consumed:]), SECONDS_PER_DAY, policy)
+        )
+        scan = generator.iter_sessions()
+        # A scan partly consumed before grouping: the rest is grouped.
+        assert [next(scan) for _ in range(consumed)] == sessions[:consumed]
+        with pytest.MonkeyPatch.context() as patch:
+            # The raw intake never packs a Session.
+            patch.delattr(ExternalSessionSorter, "add")
+            actual = _shard(grouping.plan(scan, SECONDS_PER_DAY, policy))
+        assert actual == expected
+        assert expected[2] == (len(sessions) - consumed) // run_sessions
+
+    def test_min_session_seconds_drops_sessions(self):
+        """The law's long minimum really drops sessions: every Poisson
+        draw is the same, but sessions cut short by the horizon go."""
+        kept = len(list(_generator(1, UK_TV_PROFILE, 60.0).iter_sessions()))
+        fewer = list(_generator(1, UK_TV_PROFILE, 6 * 3_600.0).iter_sessions())
+        assert 0 < len(fewer) < kept
+        assert [s.session_id for s in fewer] == list(range(len(fewer)))

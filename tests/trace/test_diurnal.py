@@ -124,3 +124,90 @@ class TestSampling:
         for hour in (3, 12, 21):
             expected = UK_TV_PROFILE.hourly[hour] / total_weight
             assert hours[hour] / n == pytest.approx(expected, rel=0.15)
+
+
+def _reference_sample_times(profile, count, horizon, rng):
+    """The original per-call sampler: rebuilds the table, draws the same."""
+    import bisect
+
+    cumulative = profile.hourly_cumulative(horizon)
+    total = cumulative[-1]
+    times = []
+    for _ in range(count):
+        point = rng.random() * total
+        hour = bisect.bisect_right(cumulative, point) - 1
+        hour = min(hour, len(cumulative) - 2)
+        mass = cumulative[hour + 1] - cumulative[hour]
+        frac = (point - cumulative[hour]) / mass if mass > 0 else rng.random()
+        t = (hour + frac) * SECONDS_PER_HOUR
+        times.append(min(t, horizon - 1e-6))
+    return times
+
+
+class _Scripted:
+    """A stand-in RNG replaying fixed ``random()`` values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+#: Night hours carry no demand at all.
+_DARK_NIGHTS = DiurnalProfile(
+    hourly=(0.0,) * 6 + (1.0,) * 12 + (0.5,) * 5 + (0.0,),
+    weekend_multiplier=1.5,
+)
+
+
+class TestSamplingTable:
+    """``sample_times`` builds its table once and draws as it always did."""
+
+    @pytest.mark.parametrize("profile", [UK_TV_PROFILE, FLAT_PROFILE, _DARK_NIGHTS])
+    @pytest.mark.parametrize(
+        "horizon", [SECONDS_PER_DAY, 9.5 * SECONDS_PER_DAY, 1_234.5]
+    )
+    def test_equals_reference_draw_for_draw(self, profile, horizon):
+        for seed in range(3):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for count in (0, 1, 17, 400):
+                assert profile.sample_times(
+                    count, horizon, fast
+                ) == _reference_sample_times(profile, count, horizon, slow)
+            assert fast.getstate() == slow.getstate()
+
+    def test_zero_mass_hour_draws_an_extra_uniform(self):
+        # A point at the very top of the mass clamps into the last hour,
+        # whose mass is zero: its place in the hour is one more draw.
+        values = [1.0, 0.25, 0.5]
+        fast = _Scripted(values)
+        slow = _Scripted(values)
+        times = _DARK_NIGHTS.sample_times(2, SECONDS_PER_DAY, fast)
+        assert times == _reference_sample_times(_DARK_NIGHTS, 2, SECONDS_PER_DAY, slow)
+        assert times[0] == 23.25 * SECONDS_PER_HOUR
+        assert fast.values == slow.values == []
+
+    def test_table_built_once_per_profile_and_horizon(self, monkeypatch):
+        # A profile no other test builds, so no table of it is cached yet.
+        profile = DiurnalProfile(hourly=(1.0,) * 23 + (2.0,), weekend_multiplier=1.375)
+        calls = []
+        original = DiurnalProfile.hourly_cumulative
+
+        def counting(self, horizon):
+            calls.append((self, horizon))
+            return original(self, horizon)
+
+        monkeypatch.setattr(DiurnalProfile, "hourly_cumulative", counting)
+        rng = random.Random(5)
+        for _ in range(4):
+            profile.sample_times(10, 2 * SECONDS_PER_DAY, rng)
+        profile.sample_times(10, 3 * SECONDS_PER_DAY, rng)
+        assert calls == [
+            (profile, 2 * SECONDS_PER_DAY),
+            (profile, 3 * SECONDS_PER_DAY),
+        ]
+
+    def test_invalid_horizon_rejected_even_for_zero_count(self):
+        with pytest.raises(ValueError):
+            UK_TV_PROFILE.sample_times(0, 0.0, random.Random(1))

@@ -1,6 +1,8 @@
 """Tests for the synthetic trace generator."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -11,10 +13,13 @@ from repro.trace.diurnal import FLAT_PROFILE
 from repro.trace.events import SECONDS_PER_DAY
 from repro.trace.generator import (
     GeneratorConfig,
+    GeneratorScan,
     TraceGenerator,
+    beta_sampler,
     generate_trace,
     sample_poisson,
 )
+from repro.trace.store import RECORD_SIZE, RecordScan, StoreReader, StoreWriter
 
 
 SMALL = GeneratorConfig(
@@ -239,3 +244,101 @@ class TestAttachmentInterning:
         first = TraceGenerator(config=SMALL).generate()
         second = TraceGenerator(config=SMALL).generate()
         assert first.sessions == second.sessions
+
+
+class TestBetaSampler:
+    """The inlined sampler is ``rng.betavariate``, draw for draw."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 6.0, 40.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.0000001, 2.0, 25.0])
+    def test_same_floats_and_same_rng_state(self, alpha, beta):
+        for seed in (0, 1, 20180701):
+            inlined, stock = random.Random(seed), random.Random(seed)
+            draw = beta_sampler(inlined, alpha, beta)
+            for k in (0, 1, 7, 300):
+                drawn = list(draw(k))
+                assert drawn == [stock.betavariate(alpha, beta) for _ in range(k)]
+            assert inlined.getstate() == stock.getstate()
+
+    def test_draws_as_values_are_consumed(self):
+        """Each value is drawn when it is consumed, so other draws from
+        the same RNG in between see the stream they would see between
+        ``betavariate`` calls."""
+        inlined, stock = random.Random(3), random.Random(3)
+        values = beta_sampler(inlined, 6.0, 2.0)(50)
+        for _ in range(50):
+            assert next(values) == stock.betavariate(6.0, 2.0)
+            assert inlined.random() == stock.random()
+        assert next(values, None) is None
+        assert inlined.getstate() == stock.getstate()
+
+
+class TestGeneratorScan:
+    """``iter_sessions`` returns a resumable record scan."""
+
+    def test_is_a_record_scan_hooked_by_name(self):
+        scan = TraceGenerator(config=SMALL).iter_sessions()
+        assert isinstance(scan, GeneratorScan) and isinstance(scan, RecordScan)
+        # Benchmarks wrap the method by name on the class.
+        assert callable(TraceGenerator.__dict__["iter_sessions"])
+
+    def test_raw_chunks_are_the_sessions_records(self, small_trace, tmp_path):
+        scan = TraceGenerator(config=SMALL).iter_sessions()
+        tables = tuple(list(table) for table in scan.tables)
+        raw = list(scan.raw_chunks())
+        # The tables were complete before the first chunk.
+        assert tuple(list(table) for table in scan.tables) == tables
+        assert all(0 < len(chunk) <= 1024 * RECORD_SIZE for chunk in raw)
+        path = tmp_path / "raw.store"
+        with StoreWriter(path, horizon=SMALL.horizon) as writer:
+            for chunk in raw:
+                writer.append(chunk, tables)
+        with StoreReader(path) as reader:
+            decoded = reader.read_range(0, len(reader))
+        assert decoded == list(TraceGenerator(config=SMALL).iter_sessions())
+        assert sorted(decoded, key=lambda s: (s.start, s.session_id)) == list(
+            small_trace.sessions
+        )
+
+    def test_chunks_hold_at_most_1024_records(self):
+        config = GeneratorConfig(
+            num_users=500, num_items=3, days=2, expected_sessions=3_000, seed=4
+        )
+        raw = list(TraceGenerator(config=config).iter_sessions().raw_chunks())
+        assert len(raw) >= 3
+        assert {len(chunk) for chunk in raw[:-1]} == {1024 * RECORD_SIZE}
+
+    @pytest.mark.parametrize("consumed", [0, 1, 999])
+    def test_raw_chunks_resume_at_the_next_unyielded_session(self, consumed):
+        gen = TraceGenerator(config=SMALL)
+        scan = gen.iter_sessions()
+        head = [next(scan) for _ in range(consumed)]
+        rest = b"".join(scan.raw_chunks())
+        sessions = list(gen.iter_sessions())
+        assert head == sessions[:consumed]
+        assert len(rest) == (len(sessions) - consumed) * RECORD_SIZE
+        first = int.from_bytes(rest[:8], "little", signed=True)
+        assert first == sessions[consumed].session_id
+        # The chunks consumed the scan.
+        assert list(scan) == []
+
+    def test_drops_users_and_catalogue_once_columns_are_built(self):
+        alive = []
+
+        class Watched(TraceGenerator):
+            def build_catalogue(self):
+                catalogue = super().build_catalogue()
+                alive.append(weakref.ref(catalogue.items[0]))
+                return catalogue
+
+            def build_population(self):
+                population = super().build_population()
+                alive.append(weakref.ref(population.users[0]))
+                return population
+
+        scan = Watched(config=SMALL).iter_sessions()
+        assert scan.tables[0]
+        gc.collect()
+        assert len(alive) == 2
+        assert all(ref() is None for ref in alive)
+        assert next(scan).session_id == 0
