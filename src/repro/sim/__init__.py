@@ -58,6 +58,7 @@ from repro.sim.service import (
 )
 from repro.sim.reduce import (
     REDUCTION_MODES,
+    DeltaLogError,
     FootprintAccumulator,
     FootprintStats,
     ReductionStats,
@@ -65,7 +66,7 @@ from repro.sim.reduce import (
     iter_user_deltas,
     load_user_deltas,
 )
-from repro.sim.results import SimulationResult, SwarmResult, UserTraffic
+from repro.sim.results import SimulationResult, SwarmResult, UserDeltas, UserTraffic
 from repro.sim.validation import (
     ValidationPoint,
     ValidationReport,
@@ -74,6 +75,7 @@ from repro.sim.validation import (
 
 __all__ = [
     "ByteLedger",
+    "DeltaLogError",
     "DistributedBackend",
     "EpochPolicy",
     "EpochResult",
@@ -111,6 +113,7 @@ __all__ = [
     "SwarmTask",
     "TaskPlan",
     "ThreadBackend",
+    "UserDeltas",
     "UserTraffic",
     "WorkItem",
     "WorkQueue",

@@ -14,7 +14,9 @@
  * i32 dense codes and event sessions, i8 event kinds); the output is a
  * flat tuple the python side materializes into a SwarmOutput.  Dict
  * insertion orders are reproduced via first-touch order stamps
- * (per-layer peer bits, per-day ledgers, per-user traffic).
+ * (per-layer peer bits, per-day ledgers, per-user traffic).  The
+ * per-user part is returned packed: native i64 user ids and f64
+ * (watched, uploaded) pairs, in first-touch order.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -73,6 +75,7 @@ typedef struct {
     double *user_watched, *user_uploaded; /* [num_users] */
     uint8_t *user_touched;                /* [num_users] */
     int32_t *user_order;                  /* [num_users] */
+    int64_t *user_uid;                    /* [num_users] slot -> user id */
 } Scratch;
 
 static void scratch_free(Scratch *s) {
@@ -107,6 +110,7 @@ static void scratch_free(Scratch *s) {
     free(s->user_uploaded);
     free(s->user_touched);
     free(s->user_order);
+    free(s->user_uid);
 }
 
 static int scratch_alloc(Scratch *s, Py_ssize_t n, Py_ssize_t ncodes,
@@ -146,6 +150,7 @@ static int scratch_alloc(Scratch *s, Py_ssize_t n, Py_ssize_t ncodes,
     s->user_uploaded = calloc(nu, sizeof(double));
     s->user_touched = calloc(nu, 1);
     s->user_order = malloc(nu * sizeof(int32_t));
+    s->user_uid = malloc(nu * sizeof(int64_t));
     if (!s->cur_demand || !s->nxt || !s->prv || !s->in_list || !s->order ||
         !s->ph_dem || !s->ph_sup || !s->scope_epoch || !s->scope_id ||
         !s->scope_count || !s->scope_off || !s->scope_members ||
@@ -154,7 +159,7 @@ static int scratch_alloc(Scratch *s, Py_ssize_t n, Py_ssize_t ncodes,
         !s->day_demanded || !s->day_touched || !s->day_order || !s->day_peer ||
         !s->day_peer_present || !s->day_peer_seq || !s->day_peer_cnt ||
         !s->user_watched || !s->user_uploaded || !s->user_touched ||
-        !s->user_order) {
+        !s->user_order || !s->user_uid) {
         scratch_free(s);
         return -1;
     }
@@ -816,6 +821,17 @@ static PyObject *sweep(PyObject *self, PyObject *args) {
         goto done;
     }
     have_scratch = 1;
+    /* Every slot indexes the per-user scratch: check once, and record
+     * each slot's user id for the packed per-user output. */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (slot[i] < 0 || slot[i] >= num_users) {
+            PyErr_Format(PyExc_ValueError,
+                         "user_slot %d out of range for %zd users",
+                         (int)slot[i], num_users);
+            goto done;
+        }
+        scr.user_uid[slot[i]] = uid[i];
+    }
 
     double watch_total = 0.0, server_total = 0.0, demanded_total = 0.0;
     double tot_peer[N_LAYERS] = {0.0, 0.0, 0.0, 0.0};
@@ -1198,27 +1214,26 @@ static PyObject *sweep(PyObject *self, PyObject *args) {
         }
         PyList_SET_ITEM(day_list, k, entry);
     }
-    PyObject *user_list = PyList_New(user_cnt);
-    if (!user_list) {
+    PyObject *user_ids = PyBytes_FromStringAndSize(NULL, user_cnt * 8);
+    PyObject *user_pairs = PyBytes_FromStringAndSize(NULL, user_cnt * 16);
+    if (!user_ids || !user_pairs) {
+        Py_XDECREF(user_ids);
+        Py_XDECREF(user_pairs);
         Py_DECREF(peer_list);
         Py_DECREF(day_list);
         goto done;
     }
+    char *id_out = PyBytes_AS_STRING(user_ids);
+    char *pair_out = PyBytes_AS_STRING(user_pairs);
     for (Py_ssize_t k = 0; k < user_cnt; k++) {
         int32_t us = scr.user_order[k];
-        PyObject *item = Py_BuildValue("(idd)", (int)us, scr.user_watched[us],
-                                       scr.user_uploaded[us]);
-        if (!item) {
-            Py_DECREF(peer_list);
-            Py_DECREF(day_list);
-            Py_DECREF(user_list);
-            goto done;
-        }
-        PyList_SET_ITEM(user_list, k, item);
+        memcpy(id_out + 8 * k, &scr.user_uid[us], 8);
+        memcpy(pair_out + 16 * k, &scr.user_watched[us], 8);
+        memcpy(pair_out + 16 * k + 8, &scr.user_uploaded[us], 8);
     }
-    result = Py_BuildValue("(dddNNNdd)", watch_total, server_total,
-                           demanded_total, peer_list, day_list, user_list,
-                           match_s, account_s);
+    result = Py_BuildValue("(dddNN(NN)dd)", watch_total, server_total,
+                           demanded_total, peer_list, day_list, user_ids,
+                           user_pairs, match_s, account_s);
 
 done:
     if (have_scratch) scratch_free(&scr);

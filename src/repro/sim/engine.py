@@ -152,11 +152,12 @@ class SimulationConfig:
             appends per-user deltas to a disk log until the final
             result is materialized.  All three modes are bit-for-bit
             identical -- the choice is a pure memory/IO trade.
-        spill_dir: where "spill" mode writes its per-user delta log.
-            ``None`` (the default) uses a run-scoped temporary
-            directory that is removed once the result is built; an
-            explicit directory keeps the log for out-of-core
-            consumers (readable via
+        spill_dir: where "spill" mode writes its per-user delta log,
+            a binary file of checksummed blocks, one per folded output
+            (layout in ``docs/STORE_FORMAT.md``).  ``None`` (the
+            default) uses a run-scoped temporary directory that is
+            removed once the result is built; an explicit directory
+            keeps the log for out-of-core consumers (readable via
             :func:`repro.sim.reduce.iter_user_deltas`).  Only valid
             with ``reduction="spill"``.
         grouping: how the session stream is partitioned into swarm

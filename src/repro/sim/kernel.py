@@ -28,6 +28,7 @@ Determinism contract:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -42,7 +43,7 @@ from repro.sim.matching import (
 from repro.sim.policies import SwarmKey, SwarmPolicy
 from repro.sim.profiling import PROFILE
 from repro.sim.reduce import reduce_outputs
-from repro.sim.results import SimulationResult, SwarmResult, UserTraffic
+from repro.sim.results import SimulationResult, SwarmResult, UserDeltas, UserTraffic
 from repro.trace.events import SECONDS_PER_DAY, Session
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -124,12 +125,13 @@ class SwarmOutput:
     Attributes:
         result: the swarm's ledger and measured dynamics.
         per_isp_day: this swarm's ledger deltas keyed by (ISP, day).
-        per_user: this swarm's byte deltas keyed by user id.
+        per_user: this swarm's byte deltas keyed by user id, packed
+            into columns in the kernel's first-touch order.
     """
 
     result: SwarmResult
     per_isp_day: Dict[Tuple[str, int], ByteLedger] = field(default_factory=dict)
-    per_user: Dict[int, UserTraffic] = field(default_factory=dict)
+    per_user: UserDeltas = field(default_factory=UserDeltas)
 
 
 def build_tasks(
@@ -259,7 +261,8 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
             mean_duration=(
                 sum(s.duration for s in sessions) / len(sessions) if sessions else 0.0
             ),
-        )
+        ),
+        per_user={},  # filled by the sweep, packed once at the end
     )
     watch_seconds = 0.0
 
@@ -313,6 +316,7 @@ def run_swarm_object(task: SwarmTask, config: "SimulationConfig") -> SwarmOutput
     output.result.capacity = (
         watch_seconds / task.horizon if task.horizon > 0 else 0.0
     )
+    output.per_user = UserDeltas.pack(output.per_user)
     return output
 
 
@@ -756,12 +760,11 @@ def _sweep_signature_group(
                 watch_seconds=day_watch,
             )
         uploads = slot.uploads
-        per_user = {
-            user_id: UserTraffic(
-                watched_bits=bits, uploaded_bits=uploads.get(user_id, 0.0)
-            )
-            for user_id, bits in watched.items()
-        }
+        pairs = array("d")
+        for user_id, bits in watched.items():
+            pairs.append(bits)
+            pairs.append(uploads.get(user_id, 0.0))
+        per_user = UserDeltas(array("q", watched), pairs)
         outputs[k] = SwarmOutput(
             result=SwarmResult(
                 key=task.key,

@@ -56,7 +56,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.matching import match_window_arrays
 from repro.sim.profiling import PROFILE
-from repro.sim.results import SwarmResult, UserTraffic
+from repro.sim.results import SwarmResult, UserDeltas
 from repro.topology.layers import NetworkLayer
 from repro.trace.events import SECONDS_PER_DAY
 
@@ -831,8 +831,10 @@ def _sweep_python(
     peer_totals: Dict[NetworkLayer, float] = {}
     # day -> [watch, server, demanded, {layer: bits}] in first-touch order.
     days: Dict[int, List] = {}
-    # user slot -> [watched, uploaded] in first-touch order.
-    users: Dict[int, List[float]] = {}
+    # user slot -> k in first-touch order; user_acc[k], user_acc[k + 1]
+    # hold the slot's (watched, uploaded) -- the packed per-user pairs.
+    users: Dict[int, int] = {}
+    user_acc: List[float] = []
     match_s = 0.0
     account_s = 0.0
 
@@ -894,15 +896,17 @@ def _sweep_python(
                     day_peer[layer] = day_peer.get(layer, 0.0) + peer_chunk
                 for j in order:
                     slot = user_slot[j]
-                    traffic = users.get(slot)
-                    if traffic is None:
-                        traffic = users[slot] = [0.0, 0.0]
-                    traffic[0] += cur_demand[j] * chunk
+                    k = users.get(slot)
+                    if k is None:
+                        k = users[slot] = len(user_acc)
+                        user_acc += (0.0, 0.0)
+                    user_acc[k] += cur_demand[j] * chunk
                 for uid, bits in upload_items:
-                    traffic = users.get(slot_of[uid])
-                    if traffic is None:  # pragma: no cover - uploaders are members
-                        traffic = users[slot_of[uid]] = [0.0, 0.0]
-                    traffic[1] += bits * chunk
+                    k = users.get(slot_of[uid])
+                    if k is None:  # pragma: no cover - uploaders are members
+                        k = users[slot_of[uid]] = len(user_acc)
+                        user_acc += (0.0, 0.0)
+                    user_acc[k + 1] += bits * chunk
                 stretch_watch += watch_chunk
                 window += chunk
             watch_total += stretch_watch
@@ -954,7 +958,10 @@ def _sweep_python(
             (day, entry[0], entry[1], entry[2], list(entry[3].items()))
             for day, entry in days.items()
         ],
-        [(slot, traffic[0], traffic[1]) for slot, traffic in users.items()],
+        (
+            array("q", [schedule.slot_users[slot] for slot in users]),
+            array("d", user_acc),
+        ),
         match_s,
         account_s,
     )
@@ -983,7 +990,7 @@ def _sweep_compiled(
         demanded_total,
         peer_items,
         day_items,
-        user_items,
+        (id_bytes, pair_bytes),
         match_s,
         account_s,
     ) = _ckernel.sweep(
@@ -1008,6 +1015,10 @@ def _sweep_compiled(
         1 if profile else 0,
     )
     layers = _LAYERS
+    ids = array("q")
+    ids.frombytes(id_bytes)
+    pairs = array("d")
+    pairs.frombytes(pair_bytes)
     return (
         watch_total,
         server_total,
@@ -1023,7 +1034,7 @@ def _sweep_compiled(
             )
             for day, watch, server, demanded, day_peer in day_items
         ],
-        user_items,
+        (ids, pairs),
         match_s,
         account_s,
     )
@@ -1037,6 +1048,10 @@ def _materialize(
     Only ``task.key`` and ``task.horizon`` are read, so an extent ref
     works as well as a materialized task -- the accounting boundary
     interns nothing per session (the ledger's ISP comes from the key).
+    The sweep's per-user part is already packed (``array('q')`` user
+    ids and ``array('d')`` (watched, uploaded) pairs in first-touch
+    order) and becomes the output's :class:`~repro.sim.results.\
+UserDeltas` as it is.
     """
     (
         watch_seconds,
@@ -1044,7 +1059,7 @@ def _materialize(
         demanded_total,
         peer_items,
         day_items,
-        user_items,
+        (user_ids, user_pairs),
         _match_s,
         _account_s,
     ) = flat
@@ -1059,11 +1074,6 @@ def _materialize(
             watch_seconds=watch,
         )
         for day, watch, server, demanded, day_peer in day_items
-    }
-    slot_users = schedule.slot_users
-    per_user = {
-        slot_users[slot]: UserTraffic(watched_bits=watched, uploaded_bits=uploaded)
-        for slot, watched, uploaded in user_items
     }
     return SwarmOutput(
         result=SwarmResult(
@@ -1080,5 +1090,5 @@ def _materialize(
             mean_duration=schedule.mean_duration,
         ),
         per_isp_day=per_isp_day,
-        per_user=per_user,
+        per_user=UserDeltas(user_ids, user_pairs),
     )

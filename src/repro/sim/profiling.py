@@ -1,12 +1,13 @@
 """Per-phase kernel timing counters (the ``--profile-kernel`` hook).
 
 The columnar kernel (:mod:`repro.sim.kernel_columns`) and the reducer
-(:func:`repro.sim.reduce.reduce_outputs`) accumulate wall-clock into the
-module-level :data:`PROFILE` singleton whenever it is enabled, split by
-phase: decode (store extent bytes -> columns, or the fused decode+build
-pass), schedule build, sweep (membership timeline), matching (seed/fresh
-selection + phase drains), drain/accounting (ledger and per-user
-arithmetic), and reduce (the output fold).  ``consume-local simulate
+(:class:`repro.sim.reduce.StreamingReducer`, in every reduction mode)
+accumulate wall-clock into the module-level :data:`PROFILE` singleton
+whenever it is enabled, split by phase: decode (store extent bytes ->
+columns, or the fused decode+build pass), schedule build, sweep
+(membership timeline), matching (seed/fresh selection + phase drains),
+drain/accounting (ledger and per-user arithmetic), and reduce (the
+output fold and the final result's materialization).  ``consume-local simulate
 --profile-kernel`` and ``bench_kernel --profile`` enable it around a run
 and print the breakdown, so perf work measures instead of guessing.
 

@@ -20,11 +20,15 @@ alternative:
   un-folded shards live, and with the backends' bounded in-flight
   submission window it never holds more than ``workers + 1`` blocks.
 * :class:`FootprintAccumulator` keeps per-user traffic out of the
-  dict-of-dataclasses representation while shards fold: packed
-  ``array('d')`` columns (two floats per user) in memory, or -- with a
-  ``spill_path`` -- an append-only delta log on disk so the
-  coordinator holds only fixed-size running statistics until the final
-  result is materialized.
+  dict-of-dataclasses representation while shards fold.  Each output's
+  per-user part arrives packed (:class:`~repro.sim.results.UserDeltas`:
+  an ``array('q')`` of ids and float64 (watched, uploaded) pairs) and
+  is folded from those columns: into packed ``array('d')`` columns (two
+  floats per user) in memory, or -- with a ``spill_path`` -- appended
+  as one checksummed binary block per output to a delta log on disk,
+  so the coordinator holds only fixed-size running statistics until
+  the final result is materialized.  The log's layout is specified in
+  ``docs/STORE_FORMAT.md`` ("Per-user delta log").
 * :class:`ReductionStats` reports what a run actually did (mode,
   blocks folded, peak resident partials, spill location) so benchmarks
   and tests can assert the memory bound instead of trusting it.
@@ -37,6 +41,9 @@ share one fold implementation and cannot drift.
 from __future__ import annotations
 
 import pickle
+import struct
+import sys
+import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,9 +63,11 @@ from typing import (
 
 from repro.sim.accounting import ByteLedger
 from repro.sim.policies import SwarmKey
+from repro.sim.profiling import PROFILE
 from repro.sim.results import (
     SimulationResult,
     SwarmResult,
+    UserDeltas,
     UserTraffic,
     merge_ledger_map,
     merge_traffic_map,
@@ -69,6 +78,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
 
 __all__ = [
     "REDUCTION_MODES",
+    "DELTA_LOG_MAGIC",
+    "DELTA_LOG_VERSION",
+    "MAX_BLOCK_RECORDS",
+    "DeltaLogError",
     "FootprintStats",
     "FootprintAccumulator",
     "StreamingReducer",
@@ -92,6 +105,27 @@ __all__ = [
 #:   when the final result is materialized (and is left behind for
 #:   out-of-core consumers when ``spill_dir`` is set explicitly).
 REDUCTION_MODES: Tuple[str, ...] = ("batched", "streaming", "spill")
+
+#: The per-user delta log's magic and format version (the 8-byte header
+#: ``struct.Struct("<4sI")``; see ``docs/STORE_FORMAT.md``).
+DELTA_LOG_MAGIC = b"RPUD"
+DELTA_LOG_VERSION = 1
+_LOG_HEADER = struct.Struct("<4sI")
+#: Each block's header: u32 record count, u32 ``zlib.crc32`` of the
+#: payload (the i64 ids, then the float64 (watched, uploaded) pairs).
+_BLOCK_HEADER = struct.Struct("<II")
+#: Bytes one record takes in a block payload: an i64 id and two f64.
+_RECORD_BYTES = 24
+#: Most records one block holds.  A larger output spans consecutive
+#: blocks, so a reader buffers at most this many records at once and
+#: rejects a larger count as corruption instead of allocating it.
+MAX_BLOCK_RECORDS = 1 << 16
+#: Array buffers are native-endian; the log is little-endian.
+_NATIVE_LE = sys.byteorder == "little"
+
+
+class DeltaLogError(ValueError):
+    """A per-user delta log is foreign, truncated or fails its checksum."""
 
 
 # ----------------------------------------------------------------------
@@ -120,13 +154,17 @@ class FootprintStats:
 class FootprintAccumulator:
     """Collapses per-user traffic deltas into compact running state.
 
-    In-memory mode packs each user's (watched, uploaded) totals into two
-    ``array('d')`` columns plus an id->slot index -- O(users) floats
-    instead of O(users) :class:`~repro.sim.results.UserTraffic`
-    dataclass instances.  With ``spill_path`` set, deltas are instead
-    appended to a text log (one ``"uid watched uploaded"`` line per
-    user per shard, floats serialized with ``repr`` so they round-trip
-    exactly) and only fixed-size running totals stay resident.
+    Every fold reads packed columns: an output's
+    :class:`~repro.sim.results.UserDeltas` as they are, and any other
+    mapping packed on entry by :meth:`UserDeltas.pack
+    <repro.sim.results.UserDeltas.pack>`.  In-memory mode adds each
+    user's (watched, uploaded) deltas into two ``array('d')`` columns
+    plus an id->slot index -- O(users) floats instead of O(users)
+    :class:`~repro.sim.results.UserTraffic` dataclass instances.  With
+    ``spill_path`` set, each folded output is instead appended to a
+    binary delta log as one checksummed block (raw little-endian ids
+    and IEEE-754 doubles, so values round-trip exactly), and only
+    fixed-size running totals stay resident.
 
     Either way, :meth:`materialize` rebuilds the exact per-user dict the
     batched reduction would have produced: additions happen in the same
@@ -150,34 +188,58 @@ class FootprintAccumulator:
 
     def add(self, per_user: Mapping[int, UserTraffic]) -> None:
         """Fold one shard's per-user deltas (in their iteration order)."""
+        deltas = UserDeltas.pack(per_user)
+        ids = deltas.ids
+        values = iter(deltas.pairs)
+        self._records += len(ids)
+        # Totals are sequential additions in fold order -- never sum(),
+        # which compensates its rounding on Python 3.12 and changes bits.
+        watched_total = self._watched_total
+        uploaded_total = self._uploaded_total
         if self.spill_path is not None:
-            spill = self._spill()
-            for user_id, traffic in per_user.items():
-                spill.write(
-                    f"{user_id} {traffic.watched_bits!r} {traffic.uploaded_bits!r}\n"
-                )
-                self._records += 1
-                self._watched_total += traffic.watched_bits
-                self._uploaded_total += traffic.uploaded_bits
-            return
-        slots = self._slots
-        watched = self._watched
-        uploaded = self._uploaded
-        for user_id, traffic in per_user.items():
-            slot = slots.get(user_id)
-            if slot is None:
-                slot = slots[user_id] = len(watched)
-                watched.append(0.0)
-                uploaded.append(0.0)
-            watched[slot] += traffic.watched_bits
-            uploaded[slot] += traffic.uploaded_bits
-            self._records += 1
-            self._watched_total += traffic.watched_bits
-            self._uploaded_total += traffic.uploaded_bits
+            self._write_blocks(ids, deltas.pairs)
+            for watched_bits, uploaded_bits in zip(values, values):
+                watched_total += watched_bits
+                uploaded_total += uploaded_bits
+        else:
+            slots = self._slots
+            watched = self._watched
+            uploaded = self._uploaded
+            for user_id, watched_bits, uploaded_bits in zip(ids, values, values):
+                slot = slots.get(user_id)
+                if slot is None:
+                    slot = slots[user_id] = len(watched)
+                    watched.append(0.0)
+                    uploaded.append(0.0)
+                watched[slot] += watched_bits
+                uploaded[slot] += uploaded_bits
+                watched_total += watched_bits
+                uploaded_total += uploaded_bits
+        self._watched_total = watched_total
+        self._uploaded_total = uploaded_total
+
+    def _write_blocks(self, ids: array, pairs: array) -> None:
+        """Append one output's columns as checksummed log blocks."""
+        spill = self._spill()
+        if not _NATIVE_LE:  # pragma: no cover - big-endian hosts only
+            ids = array("q", ids)
+            pairs = array("d", pairs)
+            ids.byteswap()
+            pairs.byteswap()
+        id_view = memoryview(ids)
+        pair_view = memoryview(pairs)
+        # An output with no users still writes its (empty) block.
+        for start in range(0, max(len(ids), 1), MAX_BLOCK_RECORDS):
+            block_ids = id_view[start : start + MAX_BLOCK_RECORDS]
+            block_pairs = pair_view[2 * start : 2 * (start + MAX_BLOCK_RECORDS)]
+            crc = zlib.crc32(block_pairs, zlib.crc32(block_ids))
+            spill.write(_BLOCK_HEADER.pack(len(block_ids), crc))
+            spill.write(block_ids)
+            spill.write(block_pairs)
 
     def _spill(self):
         if self._spill_closed:
-            # Reopening with "w" would truncate the folded records --
+            # Reopening with "wb" would truncate the folded records --
             # refuse instead of silently losing data.
             raise RuntimeError(
                 f"spill log {self.spill_path} was already closed; "
@@ -185,7 +247,8 @@ class FootprintAccumulator:
             )
         if self._spill_file is None:
             self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-            self._spill_file = open(self.spill_path, "w", encoding="ascii")
+            self._spill_file = open(self.spill_path, "wb")
+            self._spill_file.write(_LOG_HEADER.pack(DELTA_LOG_MAGIC, DELTA_LOG_VERSION))
         return self._spill_file
 
     # -- reading back ----------------------------------------------------
@@ -211,19 +274,17 @@ class FootprintAccumulator:
 
         In-memory mode unpacks the float columns; spill mode closes and
         re-reads the delta log, aggregating records in file (= fold)
-        order.  Both reproduce the batched dict bit for bit.
+        order.  Both reproduce the batched dict bit for bit.  A spill
+        log nothing was folded into is still written (header only), so
+        the log left behind is always a valid one.
         """
         if self.spill_path is not None:
+            if not self._spill_closed:
+                self._spill()
             self.close()
-            if not self.spill_path.exists():
-                return {}
             return load_user_deltas(self.spill_path)
-        return {
-            user_id: UserTraffic(
-                watched_bits=self._watched[slot], uploaded_bits=self._uploaded[slot]
-            )
-            for user_id, slot in self._slots.items()
-        }
+        # Slots are handed out 0, 1, 2... in id insertion order.
+        return dict(zip(self._slots, map(UserTraffic, self._watched, self._uploaded)))
 
     def close(self) -> None:
         """Flush and close the spill log (no-op in memory mode).
@@ -237,34 +298,101 @@ class FootprintAccumulator:
             self._spill_closed = True
 
 
+def _iter_blocks(path: Union[str, Path]) -> Iterator[Tuple[array, array]]:
+    """Stream a delta log's blocks as ``(ids, pairs)`` columns.
+
+    Reads one block at a time (at most :data:`MAX_BLOCK_RECORDS`
+    records), verifying each against its checksum before yielding it.
+
+    Raises:
+        DeltaLogError: naming ``path``, if the file is not a delta log
+            of this version, a block is truncated or claims too many
+            records, or a payload fails its CRC.
+    """
+    with open(path, "rb") as handle:
+        header = handle.read(_LOG_HEADER.size)
+        if (
+            len(header) != _LOG_HEADER.size
+            or _LOG_HEADER.unpack(header) != (DELTA_LOG_MAGIC, DELTA_LOG_VERSION)
+        ):
+            raise DeltaLogError(
+                f"{path} is not a version-{DELTA_LOG_VERSION} per-user delta log"
+            )
+        offset = _LOG_HEADER.size
+        while True:
+            head = handle.read(_BLOCK_HEADER.size)
+            if not head:
+                return
+            if len(head) != _BLOCK_HEADER.size:
+                raise DeltaLogError(f"{path}: truncated block header at byte {offset}")
+            count, crc = _BLOCK_HEADER.unpack(head)
+            if count > MAX_BLOCK_RECORDS:
+                raise DeltaLogError(
+                    f"{path}: block at byte {offset} claims {count} records "
+                    f"(at most {MAX_BLOCK_RECORDS})"
+                )
+            size = count * _RECORD_BYTES
+            payload = handle.read(size)
+            if len(payload) != size:
+                raise DeltaLogError(
+                    f"{path}: block at byte {offset} is truncated "
+                    f"({len(payload)} of {size} payload bytes)"
+                )
+            if zlib.crc32(payload) != crc:
+                raise DeltaLogError(
+                    f"{path}: block at byte {offset} fails its checksum"
+                )
+            view = memoryview(payload)
+            ids = array("q")
+            ids.frombytes(view[: 8 * count])
+            pairs = array("d")
+            pairs.frombytes(view[8 * count :])
+            if not _NATIVE_LE:  # pragma: no cover - big-endian hosts only
+                ids.byteswap()
+                pairs.byteswap()
+            yield ids, pairs
+            offset += _BLOCK_HEADER.size + size
+
+
 def iter_user_deltas(path: Union[str, Path]) -> Iterator[Tuple[int, float, float]]:
     """Stream ``(user_id, watched_bits, uploaded_bits)`` delta records.
 
     The raw spill-log reader for out-of-core consumers that want to
     process per-user deltas without ever building the full map.
+
+    Raises:
+        DeltaLogError: if the log is foreign, truncated or corrupt.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            user_field, watched_field, uploaded_field = line.split()
-            yield int(user_field), float(watched_field), float(uploaded_field)
+    for ids, pairs in _iter_blocks(path):
+        values = iter(pairs)
+        yield from zip(ids, values, values)
 
 
 def load_user_deltas(path: Union[str, Path]) -> Dict[int, UserTraffic]:
     """Aggregate a spill log back into the exact per-user traffic map.
 
     Records are folded in file order -- the order shards folded in --
-    so the map is bit-for-bit the one the in-memory reduction builds.
+    straight from each block's columns: a user's first record becomes
+    its one :class:`UserTraffic` as it is, and later records are added
+    to it in order.  The map (in first-encounter order) is bit-for-bit
+    the one the batched reduction builds.  Only distinct users get an
+    object, which keeps the replay's resident set at the size of the
+    map it returns (slot indices and side columns measurably raised
+    the process's peak RSS through allocator fragmentation).
+
+    Raises:
+        DeltaLogError: if the log is foreign, truncated or corrupt.
     """
     per_user: Dict[int, UserTraffic] = {}
-    for user_id, watched_bits, uploaded_bits in iter_user_deltas(path):
-        delta = UserTraffic(watched_bits=watched_bits, uploaded_bits=uploaded_bits)
-        existing = per_user.get(user_id)
-        if existing is None:
-            per_user[user_id] = delta
-        else:  # the shared merge path, so spill replay cannot drift
-            existing.merge(delta)
+    for ids, pairs in _iter_blocks(path):
+        values = iter(pairs)
+        for user_id, watched_bits, uploaded_bits in zip(ids, values, values):
+            traffic = per_user.get(user_id)
+            if traffic is None:
+                per_user[user_id] = UserTraffic(watched_bits, uploaded_bits)
+            else:
+                traffic.watched_bits += watched_bits
+                traffic.uploaded_bits += uploaded_bits
     return per_user
 
 
@@ -367,6 +495,9 @@ class StreamingReducer:
             self.peak_resident = len(self._pending)
         if self._resident_outputs > self.peak_resident_outputs:
             self.peak_resident_outputs = self._resident_outputs
+        profile = PROFILE.enabled
+        if profile:
+            t0 = perf_counter()
         while self._next_index in self._pending:
             ready = self._pending.pop(self._next_index)
             for output in ready:
@@ -374,6 +505,8 @@ class StreamingReducer:
             self._next_index += len(ready)
             self._resident_outputs -= len(ready)
             self.blocks_folded += 1
+        if profile:
+            PROFILE.reduce_seconds += perf_counter() - t0
 
     def _fold(self, output: "SwarmOutput") -> None:
         """One output's worth of the canonical reduction.
@@ -451,10 +584,15 @@ class StreamingReducer:
                 f"{len(self._pending)} later blocks still buffered"
             )
         self._finalized = True
+        profile = PROFILE.enabled
+        if profile:
+            t0 = perf_counter()
         if self._users is not None:
             per_user = self._users.materialize()
         else:
             per_user = self._per_user
+        if profile:
+            PROFILE.reduce_seconds += perf_counter() - t0
         return SimulationResult(
             total=self._total,
             per_swarm=self._per_swarm,
@@ -568,13 +706,9 @@ def reduce_outputs(
 
     The implementation behind :func:`repro.sim.kernel.merge_outputs`:
     one output per block, delivered in order, so the reducer never
-    buffers.
+    buffers.  The reducer charges its own fold and materialization to
+    the ``reduce`` profile row.
     """
-    from repro.sim.profiling import PROFILE
-
-    profile = PROFILE.enabled
-    if profile:
-        t0 = perf_counter()
     reducer = StreamingReducer(
         delta_tau=delta_tau,
         horizon=horizon,
@@ -585,7 +719,4 @@ def reduce_outputs(
     for output in outputs:
         reducer.add(index, (output,))
         index += 1
-    result = reducer.result()
-    if profile:
-        PROFILE.reduce_seconds += perf_counter() - t0
-    return result
+    return reducer.result()

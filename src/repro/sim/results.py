@@ -21,8 +21,9 @@ shards anywhere and reduce them afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Tuple
+from array import array
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.carbon import UserFootprint
 from repro.core.energy import EnergyModel
@@ -32,6 +33,7 @@ from repro.sim.policies import SwarmKey
 __all__ = [
     "SwarmResult",
     "UserTraffic",
+    "UserDeltas",
     "SimulationResult",
     "merge_ledger_map",
     "merge_traffic_map",
@@ -62,14 +64,17 @@ def merge_traffic_map(
 
     Shared by the kernel's output fold and
     :meth:`SimulationResult.merge`; ``source`` is never mutated or
-    aliased.
+    aliased.  The fold reads packed columns (a plain mapping is packed
+    by :meth:`UserDeltas.pack` first), so it builds one
+    :class:`UserTraffic` per *new* user only.
     """
-    for user_id, traffic in source.items():
+    for user_id, watched, uploaded in UserDeltas.pack(source).records():
         existing = target.get(user_id)
         if existing is None:
-            target[user_id] = traffic.copy()
+            target[user_id] = UserTraffic(watched, uploaded)
         else:
-            existing.merge(traffic)
+            existing.watched_bits += watched
+            existing.uploaded_bits += uploaded
 
 
 @dataclass
@@ -126,8 +131,11 @@ class SwarmResult:
 class UserTraffic:
     """Per-user byte totals over the run.
 
-    A hot accounting type -- one instance per user per shard output --
-    so ``slots=True`` keeps it dict-free.
+    The per-user value type of :attr:`SimulationResult.per_user`: one
+    instance per distinct user of a run.  Swarm outputs carry their
+    per-user deltas packed in a :class:`UserDeltas` instead, which
+    builds an instance only when a value is read.  ``slots=True``
+    keeps it dict-free.
 
     Attributes:
         watched_bits: bits the user streamed (server + peers).
@@ -152,6 +160,75 @@ class UserTraffic:
         return UserTraffic(
             watched_bits=self.watched_bits, uploaded_bits=self.uploaded_bits
         )
+
+
+class UserDeltas(Mapping[int, UserTraffic]):
+    """One swarm output's per-user traffic, packed into two columns.
+
+    A read-only ``Mapping[int, UserTraffic]`` over ``ids``, an
+    ``array('q')`` of user ids, and ``pairs``, an ``array('d')`` holding
+    each user's ``(watched_bits, uploaded_bits)`` side by side
+    (``pairs[2 i]``, ``pairs[2 i + 1]`` belong to ``ids[i]``).  Ids are
+    in the kernel's first-touch order, which is the mapping's iteration
+    order.  Reading a value builds a fresh :class:`UserTraffic`; the
+    reducer's folds read the columns instead (:meth:`records`), so the
+    per-(swarm, user) path builds no objects at all, and a pickled
+    output carries two flat buffers.
+    """
+
+    __slots__ = ("ids", "pairs", "_index")
+
+    def __init__(
+        self, ids: Optional[array] = None, pairs: Optional[array] = None
+    ) -> None:
+        self.ids = array("q") if ids is None else ids
+        self.pairs = array("d") if pairs is None else pairs
+        if len(self.pairs) != 2 * len(self.ids):
+            raise ValueError(
+                f"{len(self.ids)} user ids need {2 * len(self.ids)} floats, "
+                f"got {len(self.pairs)}"
+            )
+        self._index: Optional[Dict[int, int]] = None
+
+    @classmethod
+    def pack(cls, per_user: Mapping[int, UserTraffic]) -> "UserDeltas":
+        """``per_user`` as packed columns, in its iteration order.
+
+        A :class:`UserDeltas` is returned as it is (it is read-only).
+        """
+        if type(per_user) is cls:
+            return per_user
+        pairs = array("d")
+        for traffic in per_user.values():
+            pairs.append(traffic.watched_bits)
+            pairs.append(traffic.uploaded_bits)
+        return cls(array("q", per_user.keys()), pairs)
+
+    def records(self) -> Iterator[Tuple[int, float, float]]:
+        """``(user_id, watched_bits, uploaded_bits)`` in column order."""
+        values = iter(self.pairs)
+        return zip(self.ids, values, values)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __getitem__(self, user_id: int) -> UserTraffic:
+        position = self._positions()[user_id]
+        return UserTraffic(self.pairs[2 * position], self.pairs[2 * position + 1])
+
+    def _positions(self) -> Dict[int, int]:
+        if self._index is None:
+            self._index = {uid: i for i, uid in enumerate(self.ids)}
+        return self._index
+
+    def __reduce__(self):
+        return (UserDeltas, (self.ids, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"UserDeltas({dict(self.items())!r})"
 
 
 @dataclass

@@ -739,11 +739,18 @@ def shared_reader(path: Union[str, Path]) -> StoreReader:
     (:data:`_READER_CACHE_MAX` entries): least-recently-used readers
     are closed on overflow, so persistent worker processes never
     accumulate open fds to long-gone shard files.
+
+    Cache keys are normalised ``str(Path(path))`` strings.  A path
+    that already is one (an extent ref's shard path) hits without
+    being re-parsed; any other spelling is normalised on the miss.
     """
-    key = str(Path(path))
     evicted: List[StoreReader] = []
     with _READER_LOCK:
+        key = path
         reader = _READER_CACHE.get(key)
+        if reader is None:
+            key = str(Path(path))
+            reader = _READER_CACHE.get(key)
         if reader is not None:
             _READER_CACHE.move_to_end(key)
             return reader

@@ -108,6 +108,20 @@ class TestReductionFlag:
         log_path = out.rsplit("per-user delta log: ", 1)[1].strip()
         assert load_user_deltas(log_path)  # non-empty, parseable
 
+    @pytest.mark.parametrize("reduction", ["spill", "streaming", "batched"])
+    def test_profile_kernel_times_the_reduction(self, tmp_path, capsys, reduction):
+        """The profile's reduce row covers every reduction mode, not
+        only the batched one."""
+        path = tmp_path / "trace.jsonl"
+        assert main(["generate", str(path), "--quick", "--days", "1"]) == 0
+        capsys.readouterr()
+        argv = ["simulate", str(path), "--profile-kernel", "--reduction", reduction]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rows = out.splitlines()
+        (row,) = [line for line in rows if line.lstrip().startswith("reduce")]
+        assert float(row.split()[1]) > 0.0, row
+
 
 class TestWorkersFlag:
     def test_workers_parsed_into_settings(self):

@@ -16,6 +16,7 @@ columnar) and builders (native C-built schedules vs python-built).
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -27,6 +28,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.sim import kernel as object_kernel
 from repro.sim import kernel_columns
 from repro.sim.engine import KERNEL_MODES, SimulationConfig
 from repro.sim.kernel import SwarmTask, run_swarm, run_swarm_multi, run_swarm_object
@@ -36,6 +38,7 @@ from repro.sim.kernel_columns import (
     run_swarm_multi_columnar,
 )
 from repro.sim.policies import SwarmKey
+from repro.sim.results import UserDeltas
 from repro.topology.nodes import intern_attachment
 from repro.trace.events import SECONDS_PER_DAY, Session
 
@@ -178,6 +181,70 @@ class TestColumnarIdentityLaw:
         assert multi.schedule_builds >= 1
         for config, output in zip(configs, multi.outputs):
             assert_bitwise_identical(run_swarm_object(task, config), output)
+
+
+@contextmanager
+def _object_kernel_dicts():
+    """Capture the per-user dicts the object kernel folds before packing.
+
+    The object kernel accounts per-user traffic into a plain
+    ``{user_id: UserTraffic}`` dict, in first-touch order, and packs it
+    once at the end; that dict is the reference every kernel's packed
+    :class:`UserDeltas` must reproduce.
+    """
+    captured = []
+
+    class Capture:
+        @staticmethod
+        def pack(per_user):
+            captured.append(dict(per_user))
+            return UserDeltas.pack(per_user)
+
+    object_kernel.UserDeltas = Capture
+    try:
+        yield captured
+    finally:
+        object_kernel.UserDeltas = UserDeltas
+
+
+def _exact_rows(per_user):
+    return [
+        (uid, traffic.watched_bits.hex(), traffic.uploaded_bits.hex())
+        for uid, traffic in per_user.items()
+    ]
+
+
+class TestUserDeltasLaw:
+    """Every kernel's packed per-user block equals the dict fold: same
+    keys in the same order, bit-equal floats, through the mapping API
+    and the raw columns alike, before and after a pickle round trip."""
+
+    @LAW
+    @given(task=swarm_tasks(), config=_configs)
+    def test_every_kernel_packs_the_dict_fold(self, task, config):
+        with _object_kernel_dicts() as captured:
+            object_output = run_swarm_object(task, config)
+        (reference,) = captured
+        expected = _exact_rows(reference)
+        candidates = {"object": object_output.per_user}
+        with _no_compiled_backend():
+            candidates["python-columnar"] = run_swarm_columnar(task, config).per_user
+        if kernel_columns.HAVE_COMPILED:
+            candidates["compiled"] = run_swarm_columnar(task, config).per_user
+        for name, deltas in candidates.items():
+            clone = pickle.loads(pickle.dumps(deltas))
+            assert bytes(clone.ids) == bytes(deltas.ids), name
+            assert bytes(clone.pairs) == bytes(deltas.pairs), name
+            for packed in (deltas, clone):
+                assert type(packed) is UserDeltas, name
+                assert len(packed) == len(reference), name
+                assert list(packed) == list(reference.keys()), name
+                assert _exact_rows(packed) == expected, name
+                assert [
+                    (uid, watched.hex(), uploaded.hex())
+                    for uid, watched, uploaded in packed.records()
+                ] == expected, name
+                assert packed == reference, name
 
 
 @pytest.mark.skipif(

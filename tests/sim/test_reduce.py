@@ -11,16 +11,23 @@ import random
 import pytest
 
 from repro.sim import SimulationConfig, Simulator, simulate
-from repro.sim.backends import SerialBackend, ThreadBackend, contiguous_blocks
+from repro.sim.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    ThreadBackend,
+    contiguous_blocks,
+)
 from repro.sim.kernel import build_tasks, merge_outputs, run_shard
 from repro.sim.reduce import (
+    MAX_BLOCK_RECORDS,
     REDUCTION_MODES,
+    DeltaLogError,
     FootprintAccumulator,
     StreamingReducer,
     iter_user_deltas,
     load_user_deltas,
 )
-from repro.sim.results import UserTraffic, merge_traffic_map
+from repro.sim.results import UserDeltas, UserTraffic, merge_traffic_map
 from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
@@ -219,6 +226,107 @@ class TestFootprintAccumulator:
         # The folded records survived untouched.
         assert load_user_deltas(spill).keys() == first.keys() == {1}
 
+    def test_packed_and_plain_folds_agree(self, outputs, tmp_path):
+        """An output's packed deltas and the same deltas as a plain dict
+        fold identically: a dict is packed on entry, one fold path."""
+        outs, _ = outputs
+        assert all(type(output.per_user) is UserDeltas for output in outs)
+        for spill in (None, tmp_path / "packed.log"):
+            packed = FootprintAccumulator(spill_path=spill)
+            plain = FootprintAccumulator(
+                spill_path=None if spill is None else tmp_path / "plain.log"
+            )
+            for output in outs:
+                packed.add(output.per_user)
+                plain.add(dict(output.per_user.items()))
+            assert packed.stats() == plain.stats()
+            assert bits(packed.materialize()) == bits(plain.materialize())
+
+    def test_stats_totals_are_sequential_additions(self, outputs):
+        outs, _ = outputs
+        accumulator = FootprintAccumulator()
+        watched = uploaded = 0.0
+        for output in outs:
+            accumulator.add(output.per_user)
+            for traffic in output.per_user.values():
+                watched += traffic.watched_bits
+                uploaded += traffic.uploaded_bits
+        stats = accumulator.stats()
+        assert (stats.watched_bits, stats.uploaded_bits) == (watched, uploaded)
+
+    def test_output_larger_than_a_block_spans_blocks(self, tmp_path):
+        count = MAX_BLOCK_RECORDS + 5
+        per_user = {uid: UserTraffic(float(uid), 0.5) for uid in range(count)}
+        accumulator = FootprintAccumulator(spill_path=tmp_path / "big.log")
+        accumulator.add(per_user)
+        materialized = accumulator.materialize()
+        assert bits(materialized) == bits(per_user)
+        header, block = 8, 8
+        size = (tmp_path / "big.log").stat().st_size
+        assert size == header + 2 * block + 24 * count
+
+
+def bits(per_user):
+    """A per-user map as exact, order-sensitive ``(id, hex, hex)`` rows."""
+    return [
+        (uid, traffic.watched_bits.hex(), traffic.uploaded_bits.hex())
+        for uid, traffic in per_user.items()
+    ]
+
+
+class TestDeltaLogIntegrity:
+    """A damaged or foreign spill log raises instead of folding garbage."""
+
+    @pytest.fixture
+    def log(self, outputs, tmp_path):
+        outs, _ = outputs
+        path = tmp_path / "deltas.log"
+        accumulator = FootprintAccumulator(spill_path=path)
+        for output in outs:
+            accumulator.add(output.per_user)
+        accumulator.close()
+        return path
+
+    def assert_rejected(self, path, match):
+        with pytest.raises(DeltaLogError, match=match) as raised:
+            load_user_deltas(path)
+        assert str(path) in str(raised.value)
+        with pytest.raises(DeltaLogError, match=match):
+            list(iter_user_deltas(path))
+
+    def test_intact_log_reads(self, log):
+        assert load_user_deltas(log)
+
+    def test_flipped_payload_byte_fails_checksum(self, log):
+        data = bytearray(log.read_bytes())
+        data[8 + 8 + 3] ^= 0x10  # inside the first block's first user id
+        log.write_bytes(bytes(data))
+        self.assert_rejected(log, "checksum")
+
+    def test_truncated_last_block(self, log):
+        data = log.read_bytes()
+        log.write_bytes(data[:-5])
+        self.assert_rejected(log, "truncated")
+
+    def test_truncated_block_header(self, log, tmp_path):
+        log.write_bytes(log.read_bytes() + b"\x01\x00")
+        self.assert_rejected(log, "truncated")
+
+    def test_parent_format_text_log(self, tmp_path):
+        text_log = tmp_path / "text.log"
+        text_log.write_text("7 0.30000000000000004 1e+300\n8 5e-324 0.0\n")
+        self.assert_rejected(text_log, "not a version-1 per-user delta log")
+
+    def test_oversized_block_count(self, tmp_path):
+        import struct
+
+        path = tmp_path / "huge.log"
+        path.write_bytes(
+            struct.pack("<4sI", b"RPUD", 1)
+            + struct.pack("<II", MAX_BLOCK_RECORDS + 1, 0)
+        )
+        self.assert_rejected(path, "claims")
+
 
 class TestContiguousBlocks:
     def blocks_cover_tasks(self, tasks, blocks):
@@ -297,11 +405,32 @@ class TestEngineReductionModes:
         with pytest.raises(ValueError, match="spill_dir"):
             SimulationConfig(reduction="streaming", spill_dir=str(tmp_path))
 
-    @pytest.mark.parametrize("reduction", ["streaming", "spill"])
-    def test_streaming_modes_identical_to_batched(self, trace, reduction):
+    @pytest.mark.parametrize(
+        "reduction, backend",
+        [
+            pytest.param("streaming", "serial", id="streaming"),
+            pytest.param("spill", "serial", id="spill"),
+            pytest.param("streaming", "process", id="streaming-process"),
+            pytest.param("spill", "process", id="spill-process"),
+        ],
+    )
+    def test_streaming_modes_identical_to_batched(self, trace, reduction, backend):
         reference = simulate(trace)
-        result = simulate(trace, SimulationConfig(reduction=reduction))
+        if backend == "serial":
+            result = Simulator(
+                SimulationConfig(reduction=reduction), backend=SerialBackend()
+            ).run(trace)
+        else:  # min_sessions=0 forces real worker processes on this trace
+            pool = ProcessPoolBackend(2, min_sessions=0)
+            try:
+                result = Simulator(
+                    SimulationConfig(reduction=reduction), backend=pool
+                ).run(trace)
+            finally:
+                pool.close()
         assert reference.identical_to(result)
+        # Bit for bit, and in the batched fold's first-encounter order.
+        assert bits(result.per_user) == bits(reference.per_user)
 
     def test_last_reduction_stats_batched(self, trace):
         simulator = Simulator(SimulationConfig(), backend=SerialBackend())

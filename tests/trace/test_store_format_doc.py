@@ -10,6 +10,7 @@ doc-content assertions break (code changed under an unchanged doc).
 
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,78 @@ def test_doc_states_the_normative_constants():
     # Footer keys, exactly as the reader expects them.
     for key in ("version", "records", "horizon", "content", "isp", "device"):
         assert f'"{key}"' in text
+
+
+# ----------------------------------------------------------------------
+# The per-user delta log: a reader transcribed from the doc alone
+# ----------------------------------------------------------------------
+
+
+def read_delta_log_from_the_doc(path):
+    """Fold a per-user delta log following only docs/STORE_FORMAT.md.
+
+    Returns ``{user_id: (watched_bits, uploaded_bits)}`` in
+    first-encounter order, and the number of blocks read.
+    """
+    data = Path(path).read_bytes()
+    magic, version = struct.unpack_from("<4sI", data, 0)
+    assert (magic, version) == (b"RPUD", 1)
+    folded = {}
+    blocks = 0
+    offset = 8
+    while offset < len(data):
+        count, crc = struct.unpack_from("<II", data, offset)
+        assert count <= 65536
+        payload = data[offset + 8 : offset + 8 + 24 * count]
+        assert len(payload) == 24 * count
+        assert zlib.crc32(payload) == crc
+        ids = struct.unpack_from(f"<{count}q", payload, 0)
+        pairs = struct.unpack_from(f"<{2 * count}d", payload, 8 * count)
+        for position, user_id in enumerate(ids):
+            watched, uploaded = pairs[2 * position], pairs[2 * position + 1]
+            if user_id in folded:
+                before = folded[user_id]
+                folded[user_id] = (before[0] + watched, before[1] + uploaded)
+            else:  # doc: a user's first record is taken as it is
+                folded[user_id] = (watched, uploaded)
+        blocks += 1
+        offset += 8 + 24 * count
+    return folded, blocks
+
+
+def test_doc_reader_parses_an_accumulator_log(store, tmp_path):
+    from repro.sim import SimulationConfig, Simulator
+    from repro.sim.kernel import build_tasks, run_shard
+    from repro.sim.reduce import FootprintAccumulator
+
+    with StoreReader(store) as reader:
+        sessions = list(reader.iter_sessions())
+        horizon = reader.horizon
+    config = SimulationConfig()
+    outputs = run_shard(build_tasks(sessions, horizon, config.policy), config)
+    log = tmp_path / "deltas.log"
+    accumulator = FootprintAccumulator(spill_path=log)
+    for output in outputs:
+        accumulator.add(output.per_user)
+    materialized = accumulator.materialize()
+
+    folded, blocks = read_delta_log_from_the_doc(log)
+    assert blocks == len(outputs)  # doc: one block per folded output
+    assert list(folded) == list(materialized)  # first-encounter order
+    for user_id, traffic in materialized.items():
+        assert folded[user_id] == (traffic.watched_bits, traffic.uploaded_bits)
+    expected = Simulator(config).run_stream(iter(sessions), horizon).per_user
+    assert folded == {
+        uid: (t.watched_bits, t.uploaded_bits) for uid, t in expected.items()
+    }
+
+
+def test_doc_states_the_delta_log_constants():
+    from repro.sim.reduce import DELTA_LOG_MAGIC, DELTA_LOG_VERSION, MAX_BLOCK_RECORDS
+
+    text = DOC.read_text()
+    assert "## Per-user delta log" in text
+    assert f'b"{DELTA_LOG_MAGIC.decode()}"' in text
+    assert f"DELTA_LOG_VERSION = {DELTA_LOG_VERSION}" in text
+    assert f"MAX_BLOCK_RECORDS = {MAX_BLOCK_RECORDS}" in text
+    assert '"<II"' in text
